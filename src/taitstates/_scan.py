@@ -1,316 +1,89 @@
-"""Subset filter for the adequate-state search.
+"""Search for the adequate edge subsets of a spherical signed map.
 
-For every subset S of the edges (as a bitmask over a fixed edge order) the
-filter keeps S exactly when
+An edge subset S is adequate when the restriction ``G|S`` has no bridge and
+the contraction ``G/S`` has no loop.  These are the cyclic flats of the
+cycle matroid: ``G/S`` is loopless exactly when S is closed, and ``G|S`` is
+bridgeless exactly when S is a union of circuits.  On a plane map an edge e
+of S is a bridge of ``G|S`` exactly when e is a loop of the dual contracted
+along the edges outside S, so the two conditions mirror each other and the
+search prunes both of its branches:
 
-* the restriction to S has no bridges, and
-* no edge outside S has both endpoints in one component of the restriction
+* an edge is left out only while its endpoints are apart in the vertex
+  classes joined along the edges taken in, and
+* an edge is taken in only while its two faces are apart in the face
+  classes joined along the edges left out.
 
-which is the two-condition partition test driving the state enumeration.
-The scan over all 2^m masks is the one hot loop in the package, so it comes
-in two interchangeable implementations: a numba kernel for large edge
-counts and a plain-Python path used for small inputs, when numba is
-unavailable, or when ``TAITSTATES_DISABLE_JIT`` is set to a non-empty value.
-Both return identical ascending mask lists.
+Later decisions can still join a pair that was apart when an edge was
+decided, so every leaf checks both conditions over all edges once more.
+The duality needs genus zero: callers check ``euler_genus_ok`` first.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-try:  # pragma: no cover - absence exercised only on stripped installs
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-    NUMBA_AVAILABLE = False
-
-# below this edge count the python path wins (jit compilation dominates)
-JIT_THRESHOLD = 17
+from .sgraph import SignedMap, face_of_half, faces
 
 
-def jit_disabled() -> bool:
-    return bool(os.environ.get("TAITSTATES_DISABLE_JIT"))
-
-
-def _scan_py(nv: int, eu, ev) -> list[int]:
-    """Reference implementation; identical semantics to the kernel."""
-    m = len(eu)
-    out: list[int] = []
-    parent = list(range(nv))
-
-    for mask in range(1 << m):
-        for v in range(nv):
-            parent[v] = v
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(m):
-            if mask >> i & 1:
-                ra, rb = find(eu[i]), find(ev[i])
-                if ra != rb:
-                    parent[rb] = ra
-        ok = True
-        for i in range(m):
-            if not mask >> i & 1 and find(eu[i]) == find(ev[i]):
-                ok = False
-                break
-        if ok and _has_bridge_py(nv, eu, ev, mask):
-            ok = False
-        if ok:
-            out.append(mask)
-    return out
-
-
-def _has_bridge_py(nv: int, eu, ev, mask: int) -> bool:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    m = len(eu)
-    for i in range(m):
-        if mask >> i & 1 and eu[i] != ev[i]:
-            adj[eu[i]].append((ev[i], i))
-            adj[ev[i]].append((eu[i], i))
-    disc = [-1] * nv
-    low = [0] * nv
-    timer = 0
-    for start in range(nv):
-        if disc[start] != -1 or not adj[start]:
-            continue
-        stack = [(start, -1, 0)]
-        while stack:
-            v, pedge, ptr = stack[-1]
-            if ptr == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if ptr < len(adj[v]):
-                stack[-1] = (v, pedge, ptr + 1)
-                w, eidx = adj[v][ptr]
-                if eidx == pedge:
-                    continue
-                if disc[w] == -1:
-                    stack.append((w, eidx, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        return True
-    return False
-
-
-@njit(cache=True)
-def _scan_kernel(nv, eu, ev):  # pragma: no cover - measured via dispatcher tests
-    m = eu.shape[0]
-    cap = np.int64(1) << m
-    out = np.empty(1024, dtype=np.int64)
-    n_out = 0
-
-    parent = np.empty(nv, dtype=np.int32)
-    head = np.empty(nv, dtype=np.int32)
-    cell_to = np.empty(2 * m + 1, dtype=np.int32)
-    cell_eid = np.empty(2 * m + 1, dtype=np.int32)
-    cell_next = np.empty(2 * m + 1, dtype=np.int32)
-    disc = np.empty(nv, dtype=np.int32)
-    low = np.empty(nv, dtype=np.int32)
-    st_v = np.empty(nv + 1, dtype=np.int32)
-    st_pe = np.empty(nv + 1, dtype=np.int32)
-    st_cell = np.empty(nv + 1, dtype=np.int32)
-
-    for mask in range(cap):
-        for v in range(nv):
-            parent[v] = v
-        # union over included edges
-        for i in range(m):
-            if mask >> i & 1:
-                a = eu[i]
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                b = ev[i]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[b] = a
-        ok = True
-        for i in range(m):
-            if not (mask >> i & 1):
-                a = eu[i]
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                b = ev[i]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a == b:
-                    ok = False
-                    break
-        if not ok:
-            continue
-
-        # bridge test on the included subgraph (loops skipped)
-        for v in range(nv):
-            head[v] = -1
-            disc[v] = -1
-        ncell = 0
-        for i in range(m):
-            if mask >> i & 1 and eu[i] != ev[i]:
-                u = eu[i]
-                w = ev[i]
-                cell_to[ncell] = w
-                cell_eid[ncell] = i
-                cell_next[ncell] = head[u]
-                head[u] = ncell
-                ncell += 1
-                cell_to[ncell] = u
-                cell_eid[ncell] = i
-                cell_next[ncell] = head[w]
-                head[w] = ncell
-                ncell += 1
-        timer = 0
-        has_bridge = False
-        for start in range(nv):
-            if has_bridge:
-                break
-            if disc[start] != -1 or head[start] == -1:
-                continue
-            top = 0
-            st_v[0] = start
-            st_pe[0] = -1
-            st_cell[0] = head[start]
-            disc[start] = timer
-            low[start] = timer
-            timer += 1
-            while top >= 0:
-                v = st_v[top]
-                c = st_cell[top]
-                if c != -1:
-                    st_cell[top] = cell_next[c]
-                    w = cell_to[c]
-                    eidx = cell_eid[c]
-                    if eidx == st_pe[top]:
-                        continue
-                    if disc[w] == -1:
-                        disc[w] = timer
-                        low[w] = timer
-                        timer += 1
-                        top += 1
-                        st_v[top] = w
-                        st_pe[top] = eidx
-                        st_cell[top] = head[w]
-                    else:
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                else:
-                    top -= 1
-                    if top >= 0:
-                        pv = st_v[top]
-                        if low[v] < low[pv]:
-                            low[pv] = low[v]
-                        if low[v] > disc[pv]:
-                            has_bridge = True
-                            break
-        if not has_bridge:
-            if n_out == out.shape[0]:
-                grown = np.empty(out.shape[0] * 2, dtype=np.int64)
-                grown[:n_out] = out
-                out = grown
-            out[n_out] = mask
-            n_out += 1
-
-    return out[:n_out]
-
-
-def adequate_subset_masks(nv: int, eu, ev, force: str | None = None) -> list[int]:
-    """All bitmasks passing the partition test, ascending.
-
-    ``force`` pins the implementation to ``"jit"`` or ``"py"``; by default
-    the kernel is used for large scans when numba is importable and not
-    disabled by environment.
-    """
-    m = len(eu)
-    if force not in (None, "jit", "py"):
-        raise ValueError("force must be None, 'jit' or 'py'")
-    use_jit = (
-        force == "jit"
-        or (force is None and NUMBA_AVAILABLE and not jit_disabled() and m >= JIT_THRESHOLD)
-    )
-    if use_jit and NUMBA_AVAILABLE:
-        res = _scan_kernel(
-            np.int32(max(nv, 1)),
-            np.asarray(eu, dtype=np.int32),
-            np.asarray(ev, dtype=np.int32),
-        )
-        return [int(x) for x in res]
-    return _scan_py(nv, list(eu), list(ev))
-
-
-def adequate_subsets_pruned(nv: int, eu, ev) -> list[int]:
-    """Branch-pruned search: excluding an edge whose endpoints are already
-    joined by included edges can never recover, so that branch dies early.
-
-    Same output as the full scan, often far fewer visited nodes.
-    """
-    m = len(eu)
-    out: list[int] = []
-    parent = list(range(nv))
-    size = [1] * nv
+def cyclic_flat_masks(g: SignedMap) -> list[int]:
+    """Every adequate subset of the spherical map ``g``, as ascending
+    bitmasks over ``g.sorted_labels()``."""
+    nv = g.n_vertices
+    foh = face_of_half(g)
+    # one undoable union-find: vertices first, then faces offset by nv
+    ends = []
+    for lab in g.sorted_labels():
+        e = g.edge(lab)
+        ends.append((g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b),
+                     nv + foh[e.half_a], nv + foh[e.half_b]))
+    m = len(ends)
+    parent = list(range(nv + len(faces(g))))
+    size = [1] * len(parent)
     trail: list[int] = []
+    out: list[int] = []
 
     def find(a: int) -> int:
         while parent[a] != a:
             a = parent[a]
         return a
 
-    def union(a: int, b: int) -> bool:
+    def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
         if ra == rb:
-            return False
+            return
         if size[ra] < size[rb]:
             ra, rb = rb, ra
         parent[rb] = ra
         size[ra] += size[rb]
         trail.append(rb)
-        return True
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
             rb = trail.pop()
-            size[find(rb)] -= size[rb]
+            size[parent[rb]] -= size[rb]
             parent[rb] = rb
 
-    def leaf_check(mask: int) -> None:
-        for i in range(m):
-            if not mask >> i & 1 and find(eu[i]) == find(ev[i]):
-                return
-        if not _has_bridge_py(nv, eu, ev, mask):
-            out.append(mask)
-
-    def rec(i: int, mask: int) -> None:
+    # depth-first with an explicit stack, so the depth is not bounded by the
+    # interpreter's recursion limit.  A frame is a node to visit: (edge index,
+    # mask, trail length of its parent, the pair its parent's decision joins).
+    # Whether a branch is open is read at the parent, whose classes are the
+    # same again once the sibling branch is undone.  The root joins nothing.
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        i, mask, mark, a, b = stack.pop()
+        if len(trail) > mark:
+            undo(mark)
+        union(a, b)
         if i == m:
-            leaf_check(mask)
-            return
-        # exclude branch: dead as soon as the endpoints are already joined
-        if find(eu[i]) != find(ev[i]):
-            rec(i + 1, mask)
+            for j, (u, v, f, h) in enumerate(ends):
+                a, b = (f, h) if mask >> j & 1 else (u, v)
+                if find(a) == find(b):
+                    break
+            else:
+                out.append(mask)
+            continue
+        u, v, f, h = ends[i]
         mark = len(trail)
-        union(eu[i], ev[i])
-        rec(i + 1, mask | 1 << i)
-        undo(mark)
-
-    rec(0, 0)
+        if find(f) != find(h):  # take edge i in
+            stack.append((i + 1, mask | 1 << i, mark, u, v))
+        if find(u) != find(v):  # leave edge i out
+            stack.append((i + 1, mask, mark, f, h))
     return sorted(out)

@@ -8,8 +8,8 @@ contracts without loops.  Each adequate subset carries a nonvanishing
 product of one-variable Tutte specializations, these products sum to the
 diagonal Tutte polynomial of the whole graph, and their count is squeezed
 between 2 and the spanning-tree count.  The enumeration below leans on all
-three facts: the scan finds the subsets, the products certify them, and the
-diagonal sum certifies completeness of the scan.
+three facts: the search finds the subsets, the products certify them, and
+the diagonal sum certifies completeness of the search.
 
 Homogeneous adequacy adds sign-purity constraints: per component of the
 restriction, per bounded face of the embedded restriction, and in its
@@ -24,15 +24,16 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from ._scan import adequate_subset_masks, adequate_subsets_pruned
+from ._scan import cyclic_flat_masks
 from .bipoly import BiPoly
-from .diagram import LinkDiagram, State, checkerboard, classify, tait
+from .diagram import LinkDiagram, State, VerificationError, checkerboard, classify, tait
 from .sgraph import (
     DisconnectedError,
     SignedMap,
     classify_edges,
     components,
     contract,
+    euler_genus_ok,
     face_of_half,
     faces,
     is_connected,
@@ -58,10 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_EDGES = 24
-
-
-class VerificationError(RuntimeError):
-    """The state-sum identity failed; indicates an internal bug."""
 
 
 def _require_connected(g: SignedMap) -> None:
@@ -110,7 +107,7 @@ def state_from_partition(g: SignedMap, edge_subset: Iterable,
     Positive edges inside are A-resolved, negative inside B-resolved,
     positive outside B-resolved, negative outside A-resolved.  When the
     diagram and correspondence are supplied the result is keyed by crossing
-    and the round trip through ``classify`` is asserted.
+    and the round trip through ``classify`` is checked.
     """
     edge_subset = g.check_edge_set(edge_subset)
     by_label = {}
@@ -120,10 +117,12 @@ def state_from_partition(g: SignedMap, edge_subset: Iterable,
         by_label[lab] = "A" if positive == inside else "B"
     if d is None:
         return State.from_dict(by_label)
-    assert corr is not None, "corr is required along with the diagram"
+    if corr is None:
+        raise ValueError("corr is required along with the diagram")
     state = State.from_dict({ci: by_label[corr[ci]] for ci in range(d.n_crossings)})
     back = classify(d, g, corr, state)
-    assert back.selected == edge_subset, "partition/state round trip failed"
+    if back.selected != edge_subset:
+        raise VerificationError("partition/state round trip failed")
     return state
 
 
@@ -158,21 +157,10 @@ class AdequacyReport:
         return self.tree_count - self.count
 
 
-def _edge_endpoint_arrays(g: SignedMap) -> tuple[list, list[int], list[int]]:
-    labels = g.sorted_labels()
-    eu, ev = [], []
-    for lab in labels:
-        u, v = g.endpoints(lab)
-        eu.append(u)
-        ev.append(v)
-    return labels, eu, ev
-
-
 def enumerate_adequate(
     g: SignedMap,
     engine: TutteEngine | None = None,
     max_edges: int = DEFAULT_MAX_EDGES,
-    strategy: str = "scan",
     require_verified: bool = True,
     with_homogeneous: bool = False,
 ) -> AdequacyReport:
@@ -180,24 +168,22 @@ def enumerate_adequate(
     diagonal Tutte polynomial.
 
     Records are ordered by subset size then lexicographic edge labels, so
-    rendered reports are byte-stable.  ``strategy`` picks the full mask scan
-    (kernel-accelerated when worthwhile) or the branch-pruned search.
+    rendered reports are byte-stable.  The map must be spherical: the search
+    reads bridges of a restriction as loops of the planar dual.
     """
     _require_connected(g)
     if g.n_edges == 0:
         raise ValueError("graph must have at least one edge")
+    if not euler_genus_ok(g):
+        raise ValueError("map is not spherical (v - e + f != 2); "
+                         "adequate states need a plane map")
     if g.n_edges > max_edges:
         raise CapExceededError(
             f"enumeration capped at {max_edges} edges, got {g.n_edges}"
         )
-    if strategy not in ("scan", "pruned"):
-        raise ValueError("strategy must be 'scan' or 'pruned'")
 
-    labels, eu, ev = _edge_endpoint_arrays(g)
-    if strategy == "scan":
-        masks = adequate_subset_masks(g.n_vertices, eu, ev)
-    else:
-        masks = adequate_subsets_pruned(g.n_vertices, eu, ev)
+    labels = g.sorted_labels()
+    masks = cyclic_flat_masks(g)
 
     eng = engine or TutteEngine()
     records = []
@@ -234,14 +220,13 @@ def enumerate_homogeneous(
     g: SignedMap,
     engine: TutteEngine | None = None,
     max_edges: int = DEFAULT_MAX_EDGES,
-    strategy: str = "scan",
 ) -> AdequacyReport:
     """Adequate states filtered down to the homogeneously adequate ones.
 
     The verification fields still describe the full enumeration (the sum
     identity holds over all adequate states, not the filtered subset).
     """
-    full = enumerate_adequate(g, engine, max_edges, strategy, with_homogeneous=True)
+    full = enumerate_adequate(g, engine, max_edges, with_homogeneous=True)
     kept = tuple(r for r in full.states if r.homogeneous)
     return replace(full, states=kept)
 
@@ -252,7 +237,7 @@ def ab_adequacy(g: SignedMap, engine: TutteEngine | None = None
 
     The boolean answers come from the partition test and must agree with
     nonvanishing of the corresponding polynomial; disagreement would be an
-    internal bug, so it is asserted.
+    internal bug and raises ``VerificationError``.
     """
     eng = engine or TutteEngine()
     e_plus = g.positive_labels()
@@ -261,8 +246,10 @@ def ab_adequacy(g: SignedMap, engine: TutteEngine | None = None
     poly_minus = adequacy_polynomial(g, e_minus, eng)
     a_ok = adequate_by_partition(g, e_plus)
     b_ok = adequate_by_partition(g, e_minus)
-    assert a_ok == (not poly_plus.is_zero()), "partition test vs polynomial mismatch (+)"
-    assert b_ok == (not poly_minus.is_zero()), "partition test vs polynomial mismatch (-)"
+    if a_ok == poly_plus.is_zero():
+        raise VerificationError("partition test vs polynomial mismatch (+)")
+    if b_ok == poly_minus.is_zero():
+        raise VerificationError("partition test vs polynomial mismatch (-)")
     return a_ok, b_ok, poly_plus, poly_minus
 
 
@@ -336,7 +323,6 @@ def diagram_report(
     d: LinkDiagram,
     engine: TutteEngine | None = None,
     max_edges: int = DEFAULT_MAX_EDGES,
-    strategy: str = "scan",
     with_homogeneous: bool = False,
 ) -> AdequacyReport:
     """Enumerate a colored diagram's adequate states.
@@ -345,13 +331,11 @@ def diagram_report(
     graph (states are coloring-independent, but the unbounded face is only a
     face of the graph when the unbounded region is white).
     """
-    g, corr = tait(d)
-    report = enumerate_adequate(g, engine, max_edges, strategy)
-    if not with_homogeneous:
+    g, _ = tait(d)
+    direct = with_homogeneous and g.outer_face is not None
+    report = enumerate_adequate(g, engine, max_edges, with_homogeneous=direct)
+    if not with_homogeneous or direct:
         return report
-    if g.outer_face is not None:
-        flagged = enumerate_adequate(g, engine, max_edges, strategy, with_homogeneous=True)
-        return flagged
     # swapped coloring: recolor canonically, map each state across
     canon = checkerboard(LinkDiagram(d.crossings, d.outer_arc), "canonical")
     gc, corrc = tait(canon)

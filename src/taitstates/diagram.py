@@ -45,6 +45,7 @@ __all__ = [
     "State",
     "PDParseError",
     "ColoringError",
+    "VerificationError",
     "parse_pd",
     "load_diagram_json",
     "checkerboard",
@@ -61,6 +62,10 @@ __all__ = [
 
 class PDParseError(ValueError):
     """Malformed PD input; carries the offending token when known."""
+
+
+class VerificationError(RuntimeError):
+    """An internal cross-check or certificate failed; indicates a bug."""
 
 
 class ColoringError(ValueError):
@@ -468,7 +473,8 @@ def is_reduced(d: LinkDiagram) -> bool:
     if d.swap_colors is not None:
         g, _ = tait(d)
         bridges, loops = classify_edges(g)
-        assert bool(nugatory) == bool(bridges | loops), "nugatory/bridge-loop mismatch"
+        if bool(nugatory) != bool(bridges | loops):
+            raise VerificationError("nugatory/bridge-loop mismatch")
     return not nugatory
 
 

@@ -334,6 +334,81 @@ def brute_spanning_tree_count(g: SignedMap) -> int:
     return count
 
 
+def brute_adequate_masks(g: SignedMap) -> list[int]:
+    """Every adequate subset of ``g`` as ascending bitmasks over
+    ``g.sorted_labels()``, by testing all 2^m subsets.
+
+    A subset passes when no edge outside it joins one component of the
+    restriction (union-find) and the restriction has no bridge (low-link
+    DFS).  Needs no embedding, so it holds on any map.
+    """
+    eu, ev = [], []
+    for lab in g.sorted_labels():
+        u, v = g.endpoints(lab)
+        eu.append(u)
+        ev.append(v)
+    nv, m = g.n_vertices, len(eu)
+    out: list[int] = []
+    parent = list(range(nv))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for mask in range(1 << m):
+        for v in range(nv):
+            parent[v] = v
+        for i in range(m):
+            if mask >> i & 1:
+                ra, rb = find(eu[i]), find(ev[i])
+                if ra != rb:
+                    parent[rb] = ra
+        if any(not mask >> i & 1 and find(eu[i]) == find(ev[i]) for i in range(m)):
+            continue
+        if not _has_bridge(nv, eu, ev, mask):
+            out.append(mask)
+    return out
+
+
+def _has_bridge(nv: int, eu: list[int], ev: list[int], mask: int) -> bool:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for i in range(len(eu)):
+        if mask >> i & 1 and eu[i] != ev[i]:
+            adj[eu[i]].append((ev[i], i))
+            adj[ev[i]].append((eu[i], i))
+    disc = [-1] * nv
+    low = [0] * nv
+    timer = 0
+    for start in range(nv):
+        if disc[start] != -1 or not adj[start]:
+            continue
+        stack = [(start, -1, 0)]
+        while stack:
+            v, pedge, ptr = stack[-1]
+            if ptr == 0:
+                disc[v] = low[v] = timer
+                timer += 1
+            if ptr < len(adj[v]):
+                stack[-1] = (v, pedge, ptr + 1)
+                w, eidx = adj[v][ptr]
+                if eidx == pedge:
+                    continue
+                if disc[w] == -1:
+                    stack.append((w, eidx, 0))
+                else:
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                    if low[v] > disc[pv]:
+                        return True
+    return False
+
+
 def homogeneity_oracle(d: LinkDiagram, s: State) -> bool:
     """Definitional check: no complementary region of the state circles
     contains both A- and B-segments.

@@ -15,6 +15,7 @@ from taitstates.adequacy import (
     report_to_csv,
     report_to_json,
     state_from_partition,
+    VerificationError,
 )
 from taitstates.bipoly import BiPoly
 from taitstates.diagram import State, checkerboard, classify, parse_pd, tait
@@ -24,6 +25,7 @@ from taitstates.tutte import CapExceededError, TutteEngine
 from helpers import (
     all_states,
     adequacy_oracle,
+    brute_adequate_masks,
     cycle_graph,
     double_edge_path,
     homogeneity_oracle,
@@ -117,6 +119,12 @@ class TestStateFromPartition:
                 s = state_from_partition(g, subset, d, corr)
                 assert classify(d, g, corr, s).selected == subset
 
+    def test_diagram_needs_corr(self):
+        d = checkerboard(parse_pd(FIG8))
+        g, _ = tait(d)
+        with pytest.raises(ValueError, match="corr"):
+            state_from_partition(g, (), d)
+
     def test_extremes(self):
         g = cycle_graph(4, +1)
         assert state_from_partition(g, ()) == State.uniform(range(4), "B")
@@ -126,18 +134,20 @@ class TestStateFromPartition:
 
 
 class TestEnumeration:
-    def test_strategies_agree(self):
+    def test_matches_brute_force_oracle(self):
         rng = random.Random(79)
-        for _ in range(12):
-            g = random_planar_map(rng.randint(1, 9), rng)
-            from taitstates.sgraph import is_connected
-
-            if not is_connected(g):
-                continue
-            a = enumerate_adequate(g, strategy="scan")
-            b = enumerate_adequate(g, strategy="pruned")
-            assert [r.edge_subset for r in a.states] == [r.edge_subset for r in b.states]
-            assert a.state_sum == b.state_sum
+        for _ in range(16):
+            if rng.random() < 0.5:
+                g = random_planar_map(rng.randint(1, 12), rng)
+            else:
+                g = random_bridgeless_map(rng.randint(2, 12), rng)
+            labels = g.sorted_labels()
+            expected = {frozenset(lab for i, lab in enumerate(labels) if mask >> i & 1)
+                        for mask in brute_adequate_masks(g)}
+            rep = enumerate_adequate(g)
+            assert rep.verified
+            assert {r.edge_subset for r in rep.states} == expected
+            assert rep.count == len(expected)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -236,6 +246,14 @@ class TestABAdequacy:
             a_ok, b_ok, _, _ = ab_adequacy(g)
             assert a_ok == adequacy_oracle(d, State.uniform(range(n), "A"))
             assert b_ok == adequacy_oracle(d, State.uniform(range(n), "B"))
+
+    def test_disagreement_raises(self, monkeypatch):
+        # the cross-check is a raise, not an assert, so it holds under -O too
+        import taitstates.adequacy as adequacy
+
+        monkeypatch.setattr(adequacy, "adequate_by_partition", lambda g, s: False)
+        with pytest.raises(VerificationError, match="mismatch"):
+            ab_adequacy(cycle_graph(3))
 
 
 class TestHomogeneous:

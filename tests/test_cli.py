@@ -1,7 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import taitstates
 
 from taitstates.cli import main
 from taitstates.sgraph import to_json
@@ -145,6 +149,32 @@ class TestAdequate:
         a, b = json.loads(out_can), json.loads(out_sw)
         assert a["count"] == b["count"]
         assert a["diagonal_coeffs"] == b["diagonal_coeffs"]
+
+    def test_non_spherical_map_exit_2(self, capsys, tmp_path):
+        # one vertex, two interleaved loops: a map on the torus (v - e + f = 0)
+        p = tmp_path / "torus.json"
+        p.write_text(json.dumps({
+            "vertices": [[0, 2, 1, 3]],
+            "edges": [{"halves": [0, 1], "sign": "+", "label": 0},
+                      {"halves": [2, 3], "sign": "-", "label": 1}],
+        }))
+        code, out, err = run(capsys, "adequate", str(p), "--format", "json", "--verify")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: map is not spherical")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_checks_survive_optimize_flag(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(taitstates.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "taitstates.cli", "adequate", FIXTURE,
+             "--format", "json", "--verify"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "count: 20" in proc.stdout
+        assert "verified: true" in proc.stdout
 
 
 class TestCheck:

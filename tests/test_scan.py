@@ -1,66 +1,49 @@
 import random
 
-import pytest
+from taitstates._scan import cyclic_flat_masks
+from taitstates.sgraph import planar_dual
 
-from taitstates._scan import (
-    JIT_THRESHOLD,
-    NUMBA_AVAILABLE,
-    adequate_subset_masks,
-    adequate_subsets_pruned,
+from helpers import (
+    brute_adequate_masks,
+    cycle_graph,
+    double_edge_path,
+    random_bridgeless_map,
+    random_planar_map,
 )
-
-from helpers import cycle_graph, double_edge_path, random_planar_map
-
-
-def endpoint_arrays(g):
-    labels = g.sorted_labels()
-    eu, ev = [], []
-    for lab in labels:
-        u, v = g.endpoints(lab)
-        eu.append(u)
-        ev.append(v)
-    return eu, ev
 
 
 def test_cycle_masks():
-    g = cycle_graph(5)
-    eu, ev = endpoint_arrays(g)
-    assert adequate_subset_masks(g.n_vertices, eu, ev) == [0, 31]
+    assert cyclic_flat_masks(cycle_graph(5)) == [0, 31]
 
 
 def test_double_edge_path_masks():
-    g = double_edge_path(3)
-    eu, ev = endpoint_arrays(g)
-    masks = adequate_subset_masks(g.n_vertices, eu, ev)
+    masks = cyclic_flat_masks(double_edge_path(3))
     # each doubled pair is all-in or all-out
     assert len(masks) == 8
+    assert masks == brute_adequate_masks(double_edge_path(3))
 
 
-def test_pruned_equals_scan():
+def test_search_equals_oracle_planar():
+    # grown maps carry loops and bridges: loops are always in, bridges out
     rng = random.Random(1)
+    for _ in range(60):
+        g = random_planar_map(rng.randint(1, 12), rng)
+        assert cyclic_flat_masks(g) == brute_adequate_masks(g)
+
+
+def test_search_equals_oracle_bridgeless():
+    rng = random.Random(3)
+    for _ in range(40):
+        g = random_bridgeless_map(rng.randint(2, 12), rng)
+        assert cyclic_flat_masks(g) == brute_adequate_masks(g)
+
+
+def test_dual_flats_are_complements():
+    # the dual keeps labels, so a subset of g and its complement in the dual
+    # share one bit order; this holds past the sizes the oracle can scan
+    rng = random.Random(5)
     for _ in range(30):
-        g = random_planar_map(rng.randint(1, 9), rng)
-        eu, ev = endpoint_arrays(g)
-        a = adequate_subset_masks(g.n_vertices, eu, ev, force="py")
-        b = adequate_subsets_pruned(g.n_vertices, eu, ev)
-        assert a == b
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_kernel_equals_python():
-    rng = random.Random(2)
-    for _ in range(12):
-        g = random_planar_map(rng.randint(1, 10), rng)
-        eu, ev = endpoint_arrays(g)
-        a = adequate_subset_masks(g.n_vertices, eu, ev, force="py")
-        b = adequate_subset_masks(g.n_vertices, eu, ev, force="jit")
-        assert a == b
-
-
-def test_force_validation():
-    with pytest.raises(ValueError):
-        adequate_subset_masks(1, [], [], force="gpu")
-
-
-def test_threshold_is_sane():
-    assert 1 <= JIT_THRESHOLD <= 24
+        g = random_bridgeless_map(rng.randint(2, 20), rng)
+        full = (1 << g.n_edges) - 1
+        dual = cyclic_flat_masks(planar_dual(g))
+        assert dual == sorted(full ^ mask for mask in cyclic_flat_masks(g))
