@@ -12,8 +12,8 @@ three facts: the search finds the subsets, the products certify them, and
 the diagonal sum certifies completeness of the search.
 
 Homogeneous adequacy adds sign-purity constraints: per component of the
-restriction, per bounded face of the embedded restriction, and in its
-unbounded region.
+restriction, and per face of the embedded restriction, the unbounded one
+included, so the answer depends on the state alone.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from typing import Iterable, Mapping
 
 from ._scan import cyclic_flat_masks
 from .bipoly import BiPoly
-from .diagram import LinkDiagram, State, VerificationError, checkerboard, classify, tait
+from .diagram import LinkDiagram, State, VerificationError, classify, tait
 from .sgraph import (
     DisconnectedError,
     SignedMap,
+    _DSU,
     classify_edges,
     components,
     contract,
@@ -161,11 +162,10 @@ def enumerate_adequate(
     g: SignedMap,
     engine: TutteEngine | None = None,
     max_edges: int = DEFAULT_MAX_EDGES,
-    require_verified: bool = True,
     with_homogeneous: bool = False,
 ) -> AdequacyReport:
     """All adequate edge subsets with their polynomials, verified against the
-    diagonal Tutte polynomial.
+    diagonal Tutte polynomial (a mismatch raises ``VerificationError``).
 
     Records are ordered by subset size then lexicographic edge labels, so
     rendered reports are byte-stable.  The map must be spherical: the search
@@ -202,7 +202,7 @@ def enumerate_adequate(
 
     diagonal = eng.tutte(g).specialize("x_equals_y")
     verified = total == diagonal
-    if require_verified and not verified:
+    if not verified:
         raise VerificationError(
             f"state sum {total.render_t()} differs from the diagonal {diagonal.render_t()}"
         )
@@ -263,20 +263,19 @@ def homogeneous_adequate(g: SignedMap, edge_subset: Iterable) -> bool:
 
     * each edge-bearing component of the restriction is sign-pure;
     * complement edges grouped by the face of the embedded restriction that
-      contains them are sign-pure per bounded face and in the unbounded one.
+      contains them are sign-pure per face, the unbounded one included, so
+      no face needs to be marked as unbounded.
 
     Complement edges are located by merging the faces of ``g`` across every
     deleted edge: after the merge, a deleted edge's two former sides name
-    the face of the restriction containing it.  Requires the map to carry
-    an outer-face marker and to be reduced (no bridges, no loops).
+    the face of the restriction containing it.  Requires the map to be
+    reduced (no bridges, no loops).
     """
     _require_connected(g)
     edge_subset = g.check_edge_set(edge_subset)
     bridges, loops = classify_edges(g)
     if bridges or loops:
         raise ValueError("homogeneity conditions require a reduced graph")
-    if g.outer_face is None:
-        raise ValueError("homogeneity needs an outer-face marker on the graph")
 
     # condition on components of the restriction
     sub = restrict(g, edge_subset)
@@ -289,28 +288,17 @@ def homogeneous_adequate(g: SignedMap, edge_subset: Iterable) -> bool:
         return False
 
     # face-merge: deleting an edge fuses the two regions flanking it
-    walks = faces(g)
     foh = face_of_half(g)
-    parent = list(range(len(walks)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    regions = _DSU(len(faces(g)))
     complement = g.labels() - edge_subset
     for lab in complement:
         e = g.edge(lab)
-        ra, rb = find(foh[e.half_a]), find(foh[e.half_b])
-        if ra != rb:
-            parent[rb] = ra
+        regions.union(foh[e.half_a], foh[e.half_b])
 
     region_signs: dict[int, set[int]] = {}
     for lab in complement:
         e = g.edge(lab)
-        region_signs.setdefault(find(foh[e.half_a]), set()).add(g.sign(lab))
-    # sign-purity inside every bounded region and in the unbounded one alike
+        region_signs.setdefault(regions.find(foh[e.half_a]), set()).add(g.sign(lab))
     return all(len(s) == 1 for s in region_signs.values())
 
 
@@ -325,26 +313,11 @@ def diagram_report(
     max_edges: int = DEFAULT_MAX_EDGES,
     with_homogeneous: bool = False,
 ) -> AdequacyReport:
-    """Enumerate a colored diagram's adequate states.
+    """Enumerate a colored diagram's adequate states on its Tait graph.
 
-    Homogeneity flags are always evaluated on the canonically colored Tait
-    graph (states are coloring-independent, but the unbounded face is only a
-    face of the graph when the unbounded region is white).
+    Either coloring gives the same states and the same homogeneity flags.
     """
-    g, _ = tait(d)
-    direct = with_homogeneous and g.outer_face is not None
-    report = enumerate_adequate(g, engine, max_edges, with_homogeneous=direct)
-    if not with_homogeneous or direct:
-        return report
-    # swapped coloring: recolor canonically, map each state across
-    canon = checkerboard(LinkDiagram(d.crossings, d.outer_arc), "canonical")
-    gc, corrc = tait(canon)
-    flagged_records = []
-    for rec in report.states:
-        part = classify(canon, gc, corrc, rec.state)
-        flag = homogeneous_adequate(gc, part.selected)
-        flagged_records.append(replace(rec, homogeneous=flag))
-    return replace(report, states=tuple(flagged_records))
+    return enumerate_adequate(tait(d)[0], engine, max_edges, with_homogeneous)
 
 
 # ---------------------------------------------------------------------------

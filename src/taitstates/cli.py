@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``tutte``     -- polynomials of the Tait graph (or of a bare graph JSON)
-* ``adequate``  -- enumerate adequate states, with optional verification,
+* ``adequate``  -- enumerate adequate states, always verified, with optional
                    homogeneity filtering, or the all-A/all-B special case
 * ``check``     -- structural diagnostics for a diagram
 
@@ -20,8 +20,10 @@ import sys
 from . import sgraph
 from .adequacy import (
     DEFAULT_MAX_EDGES,
+    VerificationError,
     ab_adequacy,
-    diagram_report,
+    enumerate_adequate,
+    enumerate_homogeneous,
     report_to_csv,
     report_to_json,
 )
@@ -35,6 +37,7 @@ from .diagram import (
     nugatory_crossings,
     parse_pd,
     region_count,
+    tait,
 )
 from .sgraph import DisconnectedError, label_sort_key
 from .tutte import CapExceededError, TutteEngine
@@ -55,31 +58,27 @@ def _read_input(path: str) -> str:
         raise PDParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load(path: str, fmt: str, coloring: str, mirrored: bool):
-    """Returns (diagram or None, graph).  Bare graph JSON gives diagram=None."""
+def _load(path: str, fmt: str, coloring: str, mirrored: bool) -> sgraph.SignedMap:
+    """The signed Tait graph of the input, or the graph of bare graph JSON."""
     text = _read_input(path)
     if fmt == "json":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise PDParseError("JSON input must be an object")
         if "vertices" in doc and "edges" in doc:
             g = sgraph.from_json(text)
-            if mirrored:
-                g = sgraph.flip_signs(g)
-            return None, g
+            return sgraph.flip_signs(g) if mirrored else g
         d = load_diagram_json(text)
         d = LinkDiagram(d.crossings, d.outer_arc)  # recolor per flags below
     else:
         d = parse_pd(text)
     if mirrored:
         d = mirror(d)
-    d = checkerboard(d, coloring)
-    from .diagram import tait
-
-    g, _ = tait(d)
-    return d, g
+    return tait(checkerboard(d, coloring))[0]
 
 
 def cmd_tutte(args) -> int:
-    _, g = _load(args.input, args.format, args.coloring, args.mirror)
+    g = _load(args.input, args.format, args.coloring, args.mirror)
     engine = TutteEngine()
     chi = engine.tutte(g)
     if not (args.diag or args.trees):
@@ -92,7 +91,7 @@ def cmd_tutte(args) -> int:
 
 
 def cmd_adequate(args) -> int:
-    d, g = _load(args.input, args.format, args.coloring, args.mirror)
+    g = _load(args.input, args.format, args.coloring, args.mirror)
     engine = TutteEngine()
 
     if args.ab:
@@ -110,40 +109,24 @@ def cmd_adequate(args) -> int:
                 print(f"{k}: {v}")
         return EXIT_OK
 
-    if d is not None:
-        report = diagram_report(d, engine, max_edges=args.max_edges,
-                                with_homogeneous=args.homogeneous)
-    else:
-        from .adequacy import enumerate_adequate
-
-        report = enumerate_adequate(g, engine, max_edges=args.max_edges,
-                                    with_homogeneous=args.homogeneous)
-    if args.homogeneous:
-        from dataclasses import replace
-
-        shown = replace(report, states=tuple(r for r in report.states if r.homogeneous))
-    else:
-        shown = report
+    run = enumerate_homogeneous if args.homogeneous else enumerate_adequate
+    report = run(g, engine, max_edges=args.max_edges)
 
     if args.output == "json":
-        print(report_to_json(shown))
+        print(report_to_json(report))
     elif args.output == "csv":
-        print(report_to_csv(shown), end="")
+        print(report_to_csv(report), end="")
     else:
-        for rec in shown.states:
+        for rec in report.states:
             edges = ",".join(str(x) for x in sorted(rec.edge_subset, key=label_sort_key))
             flag = ""
             if rec.homogeneous is not None:
                 flag = "  homogeneous" if rec.homogeneous else ""
             print(f"state {rec.state}  edges [{edges}]  poly {rec.poly.render_t()}{flag}")
-        print(f"count: {shown.count}")
+        print(f"count: {report.count}")
         print(f"diagonal: {report.diagonal.render_t()}")
         print(f"spanning trees: {report.tree_count}")
         print(f"verified: {str(report.verified).lower()}")
-
-    if args.verify and not report.verified:
-        print("verification FAILED: state sum differs from the diagonal", file=sys.stderr)
-        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -199,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", choices=["table", "json", "csv"], default="table")
     sp.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     sp.add_argument("--verify", action="store_true",
-                    help="exit nonzero unless the state sum matches the diagonal")
+                    help="kept for compatibility: the state sum is always checked "
+                         "against the diagonal, and a mismatch exits 1")
     sp.add_argument("--homogeneous", action="store_true",
                     help="show only homogeneously adequate states")
     sp.add_argument("--ab", action="store_true",
@@ -213,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .adequacy import VerificationError
-
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

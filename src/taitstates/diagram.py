@@ -35,6 +35,8 @@ from .sgraph import (
     DisconnectedError,
     Edge,
     SignedMap,
+    _DSU,
+    _is_int,
     classify_edges,
     face_of_half,
     faces,
@@ -73,6 +75,12 @@ class ColoringError(ValueError):
 
 
 _TOKEN = re.compile(r"[Xx]\s*[\[\(]([^\]\)]*)[\]\)]")
+
+# Bounds on the per-diagram caches below.  One report reads one colored
+# diagram's entries again and again, so a few dozen diagrams are plenty;
+# the circle cache is keyed by (diagram, state) and holds more.
+DIAGRAM_CACHE_SIZE = 32
+STATE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -190,15 +198,20 @@ def parse_pd(text: str, outer_arc: int | None = None) -> LinkDiagram:
 
 def load_diagram_json(text: str) -> LinkDiagram:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise PDParseError("malformed diagram JSON: expected an object")
     try:
         crossings = tuple(tuple(int(x) for x in cr) for cr in doc["crossings"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PDParseError(f"malformed diagram JSON: {exc}") from exc
     if any(len(cr) != 4 for cr in crossings):
         raise PDParseError("each crossing needs exactly 4 arcs")
     if not crossings:
         raise PDParseError("no crossings found")
-    d = LinkDiagram(crossings=crossings, outer_arc=doc.get("outer_arc"))
+    outer_arc = doc.get("outer_arc")
+    if outer_arc is not None and not _is_int(outer_arc):
+        raise PDParseError(f"malformed diagram JSON: outer_arc {outer_arc!r} is not an integer")
+    d = LinkDiagram(crossings=crossings, outer_arc=outer_arc)
     _validate(d)
     if "coloring" in doc:
         d = checkerboard(d, doc["coloring"])
@@ -226,24 +239,15 @@ def _validate(d: LinkDiagram) -> None:
         raise PDParseError(f"outer_arc {d.outer_arc} is not an arc of the diagram")
     # connectivity of the projection graph
     n = d.n_crossings
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    dsu = _DSU(n)
     where: dict[int, int] = {}
     for ci, cr in enumerate(d.crossings):
         for a in cr:
             if a in where:
-                ra, rb = find(where[a]), find(ci)
-                if ra != rb:
-                    parent[rb] = ra
+                dsu.union(where[a], ci)
             else:
                 where[a] = ci
-    if n and len({find(i) for i in range(n)}) != 1:
+    if n and len({dsu.find(i) for i in range(n)}) != 1:
         raise DisconnectedError("projection graph is disconnected")
 
 
@@ -256,7 +260,7 @@ def _slot(ci: int, k: int) -> int:
     return 4 * ci + (k % 4)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
 def projection_map(d: LinkDiagram) -> SignedMap:
     """The 4-valent projection as a combinatorial map (signs are dummies)."""
     if not d.crossings:
@@ -270,7 +274,7 @@ def projection_map(d: LinkDiagram) -> SignedMap:
     return SignedMap(vertices, edges)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
 def _region_data(d: LinkDiagram):
     """(walks, face_of_half, corner_face) for the projection.
 
@@ -327,7 +331,7 @@ def outer_region(d: LinkDiagram) -> int:
     return foh[_anchor_slot(d, arc)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
 def region_colors(d: LinkDiagram) -> tuple[str, ...]:
     """Proper 2-coloring of the regions; requires ``checkerboard`` first."""
     if d.swap_colors is None:
@@ -383,7 +387,7 @@ def checkerboard(d: LinkDiagram, convention: str = "canonical") -> LinkDiagram:
 _WHITE_SIDE = -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
 def _tait_data(d: LinkDiagram):
     walks, foh, corner_face = _region_data(d)
     colors = region_colors(d)
@@ -419,16 +423,11 @@ def _tait_data(d: LinkDiagram):
         k1, k2 = black_corners[ci]
         edges.append(Edge(_slot(ci, k1), _slot(ci, k2), signs[ci], ci))
 
-    outer = outer_region(d)
-    outer_face_half = None
-    outer_vertex = None
-    if colors[outer] == "black":
-        outer_vertex = vertex_of_walk[outer]
-    g0 = SignedMap(rotations, edges)
+    g = SignedMap(rotations, edges)
 
-    # identify which Tait face walk corresponds to each white region
-    tait_walks = faces(g0)
-    walk_to_white: dict[int, int] = {}
+    # check that the Tait face walks and the white regions biject
+    tait_walks = faces(g)
+    white_of_walk: list[int] = []
     for ti, tw in enumerate(tait_walks):
         whites = set()
         for h in tw:
@@ -436,16 +435,11 @@ def _tait_data(d: LinkDiagram):
             whites.add(corner_face[ci][(k + _WHITE_SIDE) % 4])
         if len(whites) != 1:
             raise AssertionError(f"tait face {ti} hugs several white regions: {sorted(whites)}")
-        walk_to_white[ti] = whites.pop()
-    if len(set(walk_to_white.values())) != len(tait_walks):
+        white_of_walk.append(whites.pop())
+    if len(set(white_of_walk)) != len(tait_walks):
         raise AssertionError("tait faces and white regions do not biject")
-    if colors[outer] == "white":
-        ti = next(t for t, w in walk_to_white.items() if w == outer)
-        outer_face_half = tait_walks[ti][0]
-
-    g = SignedMap(rotations, edges, outer_face=outer_face_half, outer_vertex=outer_vertex)
     corr = {ci: ci for ci in range(d.n_crossings)}
-    return g, corr, walk_to_white
+    return g, corr
 
 
 def tait(d: LinkDiagram) -> tuple[SignedMap, dict[int, int]]:
@@ -453,10 +447,8 @@ def tait(d: LinkDiagram) -> tuple[SignedMap, dict[int, int]]:
 
     One vertex per black region, one signed edge per crossing; rotations are
     inherited from the cyclic order of crossings around each black region.
-    When the unbounded region is white the returned map carries an
-    ``outer_face`` marker, otherwise an ``outer_vertex`` marker.
     """
-    g, corr, _ = _tait_data(d)
+    g, corr = _tait_data(d)
     return g, dict(corr)
 
 
@@ -545,33 +537,21 @@ def _resolution_joins(cr_index: int, res: str) -> tuple[tuple[int, int], tuple[i
     return ((_slot(cr_index, 1), _slot(cr_index, 2)), (_slot(cr_index, 3), _slot(cr_index, 0)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=STATE_CACHE_SIZE)
 def _circle_structure(d: LinkDiagram, s: State):
     """(count, slot -> circle id) for the fully resolved diagram."""
     n = d.n_crossings
-    parent = list(range(4 * n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    dsu = _DSU(4 * n)
     proj = projection_map(d)
     for e in proj.edges:
-        union(e.half_a, e.half_b)
+        dsu.union(e.half_a, e.half_b)
     for ci in range(n):
         for a, b in _resolution_joins(ci, s.resolution(ci)):
-            union(a, b)
+            dsu.union(a, b)
     roots: dict[int, int] = {}
     assign = []
     for slot in range(4 * n):
-        r = find(slot)
+        r = dsu.find(slot)
         roots.setdefault(r, len(roots))
         assign.append(roots[r])
     return len(roots), tuple(assign)

@@ -28,6 +28,7 @@ __all__ = [
     "is_connected",
     "classify_edges",
     "blocks",
+    "edge_blocks",
     "faces",
     "face_of_half",
     "euler_genus_ok",
@@ -71,16 +72,9 @@ def label_sort_key(label: Label):
 class SignedMap:
     """Immutable signed multigraph with a rotation system."""
 
-    __slots__ = ("vertices", "edges", "outer_face", "outer_vertex",
-                 "_half2vertex", "_half2edge", "_label2edge", "_faces")
+    __slots__ = ("vertices", "edges", "_half2vertex", "_half2edge", "_label2edge", "_faces")
 
-    def __init__(
-        self,
-        vertices: Sequence[Sequence[int]],
-        edges: Sequence[Edge | tuple],
-        outer_face: int | None = None,
-        outer_vertex: int | None = None,
-    ):
+    def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence[Edge | tuple]):
         vtuple = tuple(tuple(rot) for rot in vertices)
         etuple = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
 
@@ -111,8 +105,6 @@ class SignedMap:
 
         self.vertices = vtuple
         self.edges = etuple
-        self.outer_face = outer_face
-        self.outer_vertex = outer_vertex
         self._half2vertex = half2vertex
         self._half2edge = half2edge
         self._label2edge = label2edge
@@ -182,7 +174,7 @@ class SignedMap:
     # -- equality ------------------------------------------------------
 
     def _key(self):
-        return (self.vertices, self.edges, self.outer_face, self.outer_vertex)
+        return (self.vertices, self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedMap):
@@ -194,11 +186,6 @@ class SignedMap:
 
     def __repr__(self) -> str:
         return f"SignedMap(v={self.n_vertices}, e={self.n_edges})"
-
-    # -- structure sharing helpers --------------------------------------
-
-    def with_markers(self, outer_face: int | None = None, outer_vertex: int | None = None) -> "SignedMap":
-        return SignedMap(self.vertices, self.edges, outer_face, outer_vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +290,31 @@ def is_connected(g: SignedMap) -> bool:
     return g.n_vertices <= 1 or components(g)[0] == 1
 
 
-def _adjacency(g: SignedMap) -> list[list[tuple[int, int]]]:
-    """vertex -> list of (neighbor, edge_index), loops listed twice."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
-    for idx, e in enumerate(g.edges):
-        u = g.vertex_of_half(e.half_a)
-        v = g.vertex_of_half(e.half_b)
-        adj[u].append((v, idx))
-        if u != v:
-            adj[v].append((u, idx))
+def edge_blocks(n: int, edges: Sequence[tuple]) -> list[list[int]]:
+    """Block decomposition of a multigraph on vertices ``0..n-1``.
+
+    ``edges[i]`` is ``(u, v, key)``: the endpoints of edge i and any value.
+    Returns the blocks as lists of edge indices: each loop alone, split off
+    before the DFS, then each bridge alone and each maximal 2-connected
+    piece, component by component.  Isolated vertices are in no block.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out: list[list[int]] = []
+    for i, (u, v, _) in enumerate(edges):
+        if u == v:
+            out.append([i])
         else:
-            adj[u].append((v, idx))
-    return adj
-
-
-def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
-    """(bridges, loops) as label sets. Loops are never bridges."""
-    loops = frozenset(e.label for e in g.edges if g.is_loop(e.label))
-    n = g.n_vertices
-    adj = _adjacency(g)
+            adj[u].append((v, i))
+            adj[v].append((u, i))
     disc = [-1] * n
     low = [0] * n
-    bridges: set[Label] = set()
     timer = 0
+    seen_edge = [False] * len(edges)
+    edge_stack: list[int] = []
     for start in range(n):
         if disc[start] != -1:
             continue
-        stack: list[tuple[int, int, int]] = [(start, -1, 0)]  # vertex, parent edge idx, adj ptr
+        stack = [(start, -1, 0)]  # vertex, parent edge index, adjacency pointer
         while stack:
             v, pedge, ptr = stack[-1]
             if ptr == 0:
@@ -338,8 +323,10 @@ def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
             if ptr < len(adj[v]):
                 stack[-1] = (v, pedge, ptr + 1)
                 w, eidx = adj[v][ptr]
-                if eidx == pedge or w == v:
+                if eidx == pedge or seen_edge[eidx]:
                     continue
+                seen_edge[eidx] = True
+                edge_stack.append(eidx)
                 if disc[w] == -1:
                     stack.append((w, eidx, 0))
                 else:
@@ -349,9 +336,34 @@ def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
                 if stack:
                     pv = stack[-1][0]
                     low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        bridges.add(g.edges[pedge].label)
-    return frozenset(bridges), loops
+                    if low[v] >= disc[pv]:
+                        # pv is a cut vertex or the root: pop one block
+                        blk: list[int] = []
+                        while True:
+                            eidx = edge_stack.pop()
+                            blk.append(eidx)
+                            if eidx == pedge:
+                                break
+                        out.append(blk)
+    return out
+
+
+def _ends(g: SignedMap) -> list[tuple[int, int, Label]]:
+    return [(g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b), e.label) for e in g.edges]
+
+
+def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
+    """(bridges, loops) as label sets. Loops are never bridges.
+
+    A bridge is a block of one edge that is not a loop.
+    """
+    ends = _ends(g)
+    bridges, loops = set(), set()
+    for blk in edge_blocks(g.n_vertices, ends):
+        if len(blk) == 1:
+            u, v, lab = ends[blk[0]]
+            (loops if u == v else bridges).add(lab)
+    return frozenset(bridges), frozenset(loops)
 
 
 def cycle_membership(g: SignedMap) -> dict[Label, bool]:
@@ -361,74 +373,18 @@ def cycle_membership(g: SignedMap) -> dict[Label, bool]:
 
 
 def blocks(g: SignedMap) -> tuple[SignedMap, ...]:
-    """Block decomposition: isolated vertices, bridges, loops, 2-connected pieces."""
-    n = g.n_vertices
-    adj = _adjacency(g)
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    edge_stack: list[int] = []
-    block_edge_sets: list[list[int]] = []
-    seen_edge = [False] * g.n_edges
-
-    for start in range(n):
-        if disc[start] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(start, -1, 0)]
-        while stack:
-            v, pedge, ptr = stack[-1]
-            if ptr == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if ptr < len(adj[v]):
-                stack[-1] = (v, pedge, ptr + 1)
-                w, eidx = adj[v][ptr]
-                if eidx == pedge:
-                    continue
-                if w == v:
-                    if not seen_edge[eidx]:
-                        seen_edge[eidx] = True
-                        block_edge_sets.append([eidx])  # a loop is its own block
-                    continue
-                if seen_edge[eidx]:
-                    continue
-                seen_edge[eidx] = True
-                if disc[w] == -1:
-                    edge_stack.append(eidx)
-                    stack.append((w, eidx, 0))
-                else:
-                    edge_stack.append(eidx)
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] >= disc[pv]:
-                        # cut point (or root child): pop one block
-                        blk: list[int] = []
-                        while True:
-                            eidx = edge_stack.pop()
-                            blk.append(eidx)
-                            if eidx == pedge:
-                                break
-                        block_edge_sets.append(blk)
-
+    """Block decomposition: loops, bridges, 2-connected pieces, isolated vertices."""
+    ends = _ends(g)
     out: list[SignedMap] = []
     used_vertices: set[int] = set()
-    for blk in block_edge_sets:
-        labels = {g.edges[i].label for i in blk}
-        sub = restrict(g, labels)
-        keep_v = set()
-        for i in blk:
-            e = g.edges[i]
-            keep_v.add(g.vertex_of_half(e.half_a))
-            keep_v.add(g.vertex_of_half(e.half_b))
+    for blk in edge_blocks(g.n_vertices, ends):
+        sub = restrict(g, {ends[i][2] for i in blk})
+        keep_v = {w for i in blk for w in ends[i][:2]}
         used_vertices |= keep_v
         out.append(SignedMap([sub.vertices[v] for v in sorted(keep_v)],
                              [g.edges[i] for i in blk]))
-    for v in range(n):
-        if not adj[v] and v not in used_vertices:
+    for v in range(g.n_vertices):
+        if v not in used_vertices:
             out.append(SignedMap([()], []))  # isolated vertex block
     return tuple(out)
 
@@ -493,29 +449,11 @@ def planar_dual(g: SignedMap) -> SignedMap:
     if g.n_vertices - g.n_edges + len(walks) != 2:
         raise ValueError("map is not spherical; dual undefined")
     dual_vertices = [tuple(walk) for walk in walks]
-    dual_edges = [Edge(e.half_a, e.half_b, e.sign, e.label) for e in g.edges]
-
-    outer_face = None
-    outer_vertex = None
-    if g.outer_face is not None:
-        fo = face_of_half(g)[g.outer_face]
-        outer_vertex = fo
-    if g.outer_vertex is not None:
-        # any half-edge whose dual face corresponds to the marked vertex
-        rot = g.vertices[g.outer_vertex]
-        if rot:
-            outer_face = rot[0]
-    dual = SignedMap(dual_vertices, dual_edges, outer_face=outer_face, outer_vertex=outer_vertex)
-    return dual
+    return SignedMap(dual_vertices, g.edges)
 
 
 def flip_signs(g: SignedMap) -> SignedMap:
-    return SignedMap(
-        g.vertices,
-        [Edge(e.half_a, e.half_b, -e.sign, e.label) for e in g.edges],
-        g.outer_face,
-        g.outer_vertex,
-    )
+    return SignedMap(g.vertices, [Edge(e.half_a, e.half_b, -e.sign, e.label) for e in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -608,19 +546,35 @@ def to_json(g: SignedMap) -> str:
             for e in g.edges
         ],
     }
-    if g.outer_face is not None:
-        doc["outer_face"] = g.outer_face
     return json.dumps(doc, indent=2)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_json(text: str) -> SignedMap:
+    """Parse graph JSON.  Keys other than ``vertices`` and ``edges`` are
+    ignored, among them the unbounded-face marker that older files carry."""
     doc = json.loads(text)
-    try:
-        vertices = doc["vertices"]
-        edges = [
-            Edge(e["halves"][0], e["halves"][1], +1 if e["sign"] == "+" else -1, e["label"])
-            for e in doc["edges"]
-        ]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"malformed graph JSON: {exc}") from exc
-    return SignedMap(vertices, edges, outer_face=doc.get("outer_face"))
+    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list) \
+            or not isinstance(doc.get("edges"), list):
+        raise ValueError("malformed graph JSON: expected an object with "
+                         "'vertices' and 'edges' lists")
+    for rot in doc["vertices"]:
+        if not (isinstance(rot, list) and all(map(_is_int, rot))):
+            raise ValueError(f"malformed graph JSON: rotation {rot!r} is not a list of integers")
+    edges = []
+    for e in doc["edges"]:
+        if not isinstance(e, dict):
+            raise ValueError(f"malformed graph JSON: edge {e!r} is not an object")
+        halves, sign, label = e.get("halves"), e.get("sign"), e.get("label")
+        if not (isinstance(halves, list) and len(halves) == 2 and all(map(_is_int, halves))):
+            raise ValueError(f"malformed graph JSON: edge halves {halves!r} are not two integers")
+        if sign not in ("+", "-"):
+            raise ValueError(f"malformed graph JSON: edge sign {sign!r} is not '+' or '-'")
+        if not (isinstance(label, str) or _is_int(label)):
+            raise ValueError(f"malformed graph JSON: edge label {label!r} "
+                             "is not a string or an integer")
+        edges.append(Edge(halves[0], halves[1], +1 if sign == "+" else -1, label))
+    return SignedMap(doc["vertices"], edges)

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from typing import Iterable
 
 from .bipoly import BiPoly
-from .sgraph import SignedMap, label_sort_key
+from .sgraph import SignedMap, edge_blocks, label_sort_key
 
 __all__ = [
     "TutteEngine",
@@ -89,62 +89,6 @@ def _mg_contract(mg: _MG, idx: int) -> _MG:
 def _mg_delete(mg: _MG, idx: int) -> _MG:
     n, edges = mg
     return (n, edges[:idx] + edges[idx + 1:])
-
-
-def _mg_blocks(mg: _MG) -> list[list[int]]:
-    """Block decomposition as lists of edge indices.
-
-    Loops and bridges come out as singleton blocks; everything else lands in
-    a maximal 2-connected piece.  Works per component.
-    """
-    n, edges = mg
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    out: list[list[int]] = []
-    for i, (u, v, _) in enumerate(edges):
-        if u == v:
-            out.append([i])  # a loop is its own block
-        else:
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    seen_edge = [False] * len(edges)
-    edge_stack: list[int] = []
-    for start in range(n):
-        if disc[start] != -1:
-            continue
-        stack = [(start, -1, 0)]
-        while stack:
-            v, pedge, ptr = stack[-1]
-            if ptr == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if ptr < len(adj[v]):
-                stack[-1] = (v, pedge, ptr + 1)
-                w, eidx = adj[v][ptr]
-                if eidx == pedge or seen_edge[eidx]:
-                    continue
-                seen_edge[eidx] = True
-                edge_stack.append(eidx)
-                if disc[w] == -1:
-                    stack.append((w, eidx, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] >= disc[pv]:
-                        blk: list[int] = []
-                        while True:
-                            eidx = edge_stack.pop()
-                            blk.append(eidx)
-                            if eidx == pedge:
-                                break
-                        out.append(blk)
-    return out
 
 
 def _canonical_cert(mg: _MG, budget: int = 2_000) -> tuple | None:
@@ -228,10 +172,7 @@ class TutteEngine:
     does not lock.
     """
 
-    def __init__(self, pivot: str = "low"):
-        if pivot not in ("low", "high"):
-            raise ValueError("pivot must be 'low' or 'high'")
-        self.pivot = pivot
+    def __init__(self):
         self.cache: dict[tuple, BiPoly] = {}
         self._x = BiPoly.x()
         self._y = BiPoly.y()
@@ -248,7 +189,7 @@ class TutteEngine:
         if not edges:
             return BiPoly.one()
         out = BiPoly.one()
-        for blk in _mg_blocks(mg):
+        for blk in edge_blocks(n, edges):
             out = out * self._poly_block(_mg_induce_edges(edges, blk))
         return out
 
@@ -265,9 +206,8 @@ class TutteEngine:
                 return hit
 
         # 2-connected with >= 2 edges: no edge is a bridge or a loop, so the
-        # pivot is simply the extreme label
-        idx = 0 if self.pivot == "low" else len(edges) - 1
-        result = self._poly(_mg_contract(mg, idx)) + self._poly(_mg_delete(mg, idx))
+        # pivot is simply the lowest label
+        result = self._poly(_mg_contract(mg, 0)) + self._poly(_mg_delete(mg, 0))
 
         if key is not None:
             self.cache[key] = result

@@ -107,7 +107,7 @@ def _renumber_arcs(d: LinkDiagram) -> LinkDiagram:
     return LinkDiagram(tuple(rotated), outer_arc=None)
 
 
-def diagram_for_graph(g: SignedMap, require_outer_white: bool = True) -> LinkDiagram:
+def diagram_for_graph(g: SignedMap) -> LinkDiagram:
     """Build a colored diagram whose canonical Tait graph is signed-isomorphic to ``g``.
 
     Scans outer_arc choices deterministically until the canonical coloring
@@ -119,8 +119,7 @@ def diagram_for_graph(g: SignedMap, require_outer_white: bool = True) -> LinkDia
         d = checkerboard(replace(d0, outer_arc=arc), "canonical")
         t, _ = tait(d)
         if t.n_vertices == g.n_vertices and graphs_isomorphic(t, g, respect_signs=True):
-            if not require_outer_white or t.outer_face is not None:
-                return d
+            return d
     raise AssertionError("no outer_arc choice reproduces the input graph")
 
 

@@ -18,7 +18,7 @@ from taitstates.adequacy import (
     VerificationError,
 )
 from taitstates.bipoly import BiPoly
-from taitstates.diagram import State, checkerboard, classify, parse_pd, tait
+from taitstates.diagram import LinkDiagram, State, checkerboard, classify, parse_pd, tait
 from taitstates.sgraph import DisconnectedError, SignedMap, flip_signs, planar_dual
 from taitstates.tutte import CapExceededError, TutteEngine
 
@@ -269,36 +269,32 @@ class TestHomogeneous:
         mixed = SignedMap(
             g.vertices,
             [(e.half_a, e.half_b, +1 if e.label < 2 else -1, e.label) for e in g.edges],
-            outer_face=g.vertices[0][0],
         )
         assert not homogeneous_adequate(mixed, ())
-        uniform = g.with_markers(outer_face=g.vertices[0][0])
-        assert homogeneous_adequate(uniform, ())
+        assert homogeneous_adequate(g, ())
 
     def test_requires_reduced(self):
         g = SignedMap([(0, 1, 2), (3,)], [(0, 1, +1, 0), (2, 3, +1, 1)])
         with pytest.raises(ValueError):
-            homogeneous_adequate(g.with_markers(outer_face=0), ())
-
-    def test_requires_marker(self):
-        with pytest.raises(ValueError, match="outer"):
-            homogeneous_adequate(cycle_graph(3), ())
+            homogeneous_adequate(g, ())
 
     def test_matches_definitional_oracle(self):
-        rng = random.Random(107)
-        checked = 0
-        for _ in range(60):
-            d = random_diagram(rng.randint(3, 8), rng, reduced_only=True)
-            g, corr = tait(d)
-            if g.outer_face is None:
-                continue
-            for s in all_states(d):
-                if not adequacy_oracle(d, s):
-                    continue
-                es = classify(d, g, corr, s).selected
-                assert homogeneous_adequate(g, es) == homogeneity_oracle(d, s)
-                checked += 1
-        assert checked > 150
+        # the flags need no marked unbounded face, so the Tait graph of
+        # either coloring gives the definitional answer
+        for coloring in ("canonical", "swapped"):
+            rng = random.Random(107)
+            checked = 0
+            for _ in range(60):
+                d = random_diagram(rng.randint(3, 8), rng, reduced_only=True)
+                d = checkerboard(LinkDiagram(d.crossings, d.outer_arc), coloring)
+                g, corr = tait(d)
+                for s in all_states(d):
+                    if not adequacy_oracle(d, s):
+                        continue
+                    es = classify(d, g, corr, s).selected
+                    assert homogeneous_adequate(g, es) == homogeneity_oracle(d, s)
+                    checked += 1
+            assert checked > 150, coloring
 
     def test_filtered_report(self):
         g, _ = tait(torus2n_diagram(4))
@@ -313,8 +309,6 @@ class TestDiagramReport:
         done = 0
         for _ in range(20):
             d = random_diagram(rng.randint(3, 6), rng, reduced_only=True)
-            from taitstates.diagram import LinkDiagram
-
             d_sw = checkerboard(LinkDiagram(d.crossings, d.outer_arc), "swapped")
             a = diagram_report(d, with_homogeneous=True)
             b = diagram_report(d_sw, with_homogeneous=True)
@@ -436,15 +430,7 @@ class TestHomogeneousNested:
             (10, 8, 13),  # inner vertex with connector p
             (15, 9, 11),  # inner vertex with connector q
         ]
-        g = SignedMap(rots, edges)
-        # the walk covering only the square edges is the unbounded side
-        from taitstates.sgraph import faces
-
-        outer_walk = next(
-            w for w in faces(g)
-            if {g.edge_of_half(h).label for h in w} == {"a", "b", "c", "d"}
-        )
-        return g.with_markers(outer_face=outer_walk[0])
+        return SignedMap(rots, edges)
 
     BOTH = frozenset("abcdef")
     SQUARE = frozenset("abcd")

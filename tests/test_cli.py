@@ -1,17 +1,22 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import taitstates
 
 from taitstates.cli import main
 from taitstates.sgraph import to_json
 
-from helpers import cycle_graph
-from taitstates.diagram import diagram_to_json
+from helpers import cycle_graph, diagram_for_graph, random_bridgeless_map
+from taitstates.adequacy import enumerate_adequate
+from taitstates.diagram import diagram_to_json, tait
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 HERE = os.path.dirname(__file__)
@@ -164,6 +169,23 @@ class TestAdequate:
         assert err.startswith("error: map is not spherical")
         assert len(err.strip().splitlines()) == 1
 
+    def test_graph_json_homogeneous_without_outer_face(self, capsys, tmp_path):
+        # graph JSON marks no unbounded face, and the flags do not need one
+        d = diagram_for_graph(random_bridgeless_map(9, random.Random(115)))
+        diagram_file = tmp_path / "d.json"
+        diagram_file.write_text(diagram_to_json(d))
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(to_json(tait(d)[0]))
+        assert "outer_face" not in graph_file.read_text()
+        outs = []
+        for p in (diagram_file, graph_file):
+            code, out, _ = run(capsys, "adequate", str(p), "--format", "json",
+                               "--homogeneous", "--output", "json")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert 0 < json.loads(outs[1])["count"] < len(enumerate_adequate(tait(d)[0]).states)
+
     def test_checks_survive_optimize_flag(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(taitstates.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -199,3 +221,69 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(p))
         assert code == 2
         assert "disconnected" in err
+
+
+GRAPH_EDGE = {"halves": [0, 1], "sign": "+", "label": 0}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("doc", [
+        {"vertices": 5, "edges": []},
+        {"vertices": [[0, 1]], "edges": [dict(GRAPH_EDGE, label=[0])]},
+        5,
+        {"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], "outer_arc": [1]},
+        {"vertices": [[0, 1]], "edges": [dict(GRAPH_EDGE, sign="minus")]},
+        {"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, float("inf")]]},
+    ], ids=["vertices-not-a-list", "label-is-a-list", "top-level-number",
+            "outer-arc-is-a-list", "sign-not-plus-or-minus", "arc-is-infinite"])
+    def test_exit_2_with_one_error_line(self, capsys, tmp_path, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "adequate", str(p), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+def run_stdin(text: str, *argv: str) -> tuple[int, str]:
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["adequate", "-", "--format", "json", *argv])
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+small_int = st.integers(min_value=-1, max_value=9)
+scalar = st.none() | st.booleans() | small_int | st.floats(allow_nan=False) | st.text(max_size=3)
+json_value = st.recursive(scalar, lambda inner: st.lists(inner, max_size=4)
+                          | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+                          max_leaves=12)
+graph_doc = st.fixed_dictionaries(
+    {"vertices": st.lists(st.lists(small_int, max_size=4), max_size=4),
+     "edges": st.lists(st.fixed_dictionaries(
+         {"halves": st.lists(small_int, min_size=2, max_size=2) | json_value,
+          "sign": st.sampled_from(["+", "-"]) | json_value,
+          "label": small_int | st.text(max_size=2) | json_value}), max_size=5)},
+    optional={"outer_face": json_value})
+diagram_doc = st.fixed_dictionaries(
+    {"crossings": st.lists(st.lists(st.integers(1, 8), min_size=4, max_size=4)
+                           | json_value, max_size=4)},
+    optional={"outer_arc": small_int | json_value,
+              "coloring": st.sampled_from(["canonical", "swapped"]) | json_value})
+flags = st.lists(st.sampled_from([("--homogeneous",), ("--mirror",), ("--coloring", "swapped"),
+                                  ("--output", "csv"), ("--ab",)]), max_size=3, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=graph_doc | diagram_doc | json_value, flag_groups=flags)
+def test_fuzz_exit_codes(doc, flag_groups):
+    # no input may end in a traceback; an input error is one line
+    code, err = run_stdin(json.dumps(doc), *(f for group in flag_groups for f in group))
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from taitstates import diagram
 from taitstates.diagram import (
     ColoringError,
     LinkDiagram,
@@ -337,3 +338,24 @@ class TestSelfTouch:
                     for ci in range(d.n_crossings)
                 )
                 assert drops == (not segment_self_touch(d, s))
+
+
+def test_caches_stay_bounded():
+    # more distinct diagrams and (diagram, state) pairs than the caches hold
+    rng = random.Random(113)
+    for _ in range(diagram.DIAGRAM_CACHE_SIZE + 8):
+        d = random_diagram(rng.randint(5, 7), rng)
+        tait(d)
+        for s in all_states(d):
+            segment_self_touch(d, s)
+    bounds = {
+        diagram.projection_map: diagram.DIAGRAM_CACHE_SIZE,
+        diagram._region_data: diagram.DIAGRAM_CACHE_SIZE,
+        diagram.region_colors: diagram.DIAGRAM_CACHE_SIZE,
+        diagram._tait_data: diagram.DIAGRAM_CACHE_SIZE,
+        diagram._circle_structure: diagram.STATE_CACHE_SIZE,
+    }
+    for fn, bound in bounds.items():
+        assert fn.cache_info().maxsize == bound
+        assert fn.cache_info().currsize <= bound, fn
+    assert diagram._circle_structure.cache_info().currsize == diagram.STATE_CACHE_SIZE
