@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
-"""Time ``enumerate_adequate`` on seeded random bridgeless maps.
+"""Time the adequate-state enumeration and the Tutte engine on seeded maps.
 
-One map per size m = 16..24 (the default edge cap), drawn in order from one
-``random.Random(seed)`` by ``tests/helpers.random_bridgeless_map``.  A case
-that runs past the budget is abandoned and reported as such.  The time
-includes the per-state polynomials and the diagonal certificate.
+Two tables, each drawn from its own ``random.Random(seed)`` by
+``tests/helpers.random_bridgeless_map``:
+
+* ``enumerate_adequate`` on one map per size m = 16..24 (the default edge
+  cap).  ``search`` is ``cyclic_flat_masks`` alone; ``polys`` is the rest of
+  the enumeration (per-state polynomials, diagonal certificate, records),
+  the whole ``enumerate_adequate`` call minus a separate timing of the
+  search.
+* ``tutte`` with a fresh engine, the work of one ``taitstates tutte`` call,
+  on four maps per size m = 20, 24, ..., 36 with the vertex count pinned at
+  m/2 + 1.
+
+A case that runs past the budget is abandoned and reported as such.
 
 Usage: python benchmarks/search_bench.py [seed] [budget_seconds]
 """
@@ -19,7 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import random_bridgeless_map  # noqa: E402
-from taitstates import enumerate_adequate  # noqa: E402
+from taitstates import enumerate_adequate, tutte  # noqa: E402
+from taitstates._scan import cyclic_flat_masks  # noqa: E402
 
 
 class OverBudget(Exception):
@@ -30,26 +40,57 @@ def _on_alarm(signum, frame):
     raise OverBudget
 
 
+def _timed(fn, budget: float):
+    """(result, seconds); the result is None past the budget."""
+    signal.setitimer(signal.ITIMER_REAL, budget)
+    t0 = time.perf_counter()
+    try:
+        result = fn()
+    except OverBudget:
+        result = None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    return result, time.perf_counter() - t0
+
+
+def search_table(seed: int, budget: float) -> None:
+    rng = random.Random(seed)
+    print(f"{'edges':>6} {'vertices':>9} {'states':>7} {'search':>9} {'polys':>9}")
+    for m in range(16, 25):
+        g = random_bridgeless_map(m, rng)
+        masks, t_search = _timed(lambda: cyclic_flat_masks(g), budget)
+        report, t_total = _timed(lambda: enumerate_adequate(g), budget)
+        if masks is None or report is None:
+            print(f"{m:>6} {g.n_vertices:>9} {'-':>7}  over budget")
+            continue
+        print(f"{m:>6} {g.n_vertices:>9} {report.count:>7} "
+              f"{t_search:>8.4f}s {t_total - t_search:>8.4f}s")
+
+
+def tutte_table(seed: int, budget: float) -> None:
+    rng = random.Random(seed)
+    print(f"{'edges':>6} {'vertices':>9} {'trees':>14} {'tutte':>9}")
+    total = 0.0
+    for m in range(20, 37, 4):
+        for _ in range(4):
+            g = random_bridgeless_map(m, rng, n_vertices=m // 2 + 1)
+            chi, elapsed = _timed(lambda: tutte(g), budget)
+            total += elapsed
+            trees = "-" if chi is None else str(chi.eval(1, 1))
+            note = "  over budget" if chi is None else ""
+            print(f"{m:>6} {g.n_vertices:>9} {trees:>14} {elapsed:>8.3f}s{note}")
+    print(f"total {total:.3f}s")
+
+
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 11
     budget = float(sys.argv[2]) if len(sys.argv) > 2 else 30.0
-    rng = random.Random(seed)
     signal.signal(signal.SIGALRM, _on_alarm)
     print(f"seed {seed}, budget {budget:g} s per case")
-    print(f"{'edges':>6} {'vertices':>9} {'states':>7} {'seconds':>9}")
-    for m in range(16, 25):
-        g = random_bridgeless_map(m, rng)
-        signal.setitimer(signal.ITIMER_REAL, budget)
-        t0 = time.perf_counter()
-        try:
-            states = str(enumerate_adequate(g).count)
-        except OverBudget:
-            states = "-"
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-        elapsed = time.perf_counter() - t0
-        note = "  over budget" if states == "-" else ""
-        print(f"{m:>6} {g.n_vertices:>9} {states:>7} {elapsed:>8.3f}s{note}")
+    print("\nenumerate_adequate")
+    search_table(seed, budget)
+    print("\ntutte")
+    tutte_table(seed, budget)
 
 
 if __name__ == "__main__":

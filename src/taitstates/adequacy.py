@@ -32,7 +32,6 @@ from .sgraph import (
     SignedMap,
     _DSU,
     classify_edges,
-    components,
     contract,
     euler_genus_ok,
     face_of_half,
@@ -41,7 +40,7 @@ from .sgraph import (
     label_sort_key,
     restrict,
 )
-from .tutte import CapExceededError, TutteEngine
+from .tutte import X_ZERO, Y_ZERO, CapExceededError, TutteEngine, _mgraph_of
 
 __all__ = [
     "AdequacyReport",
@@ -85,19 +84,41 @@ def adequate_by_partition(g: SignedMap, edge_subset: Iterable) -> bool:
     return not any(contracted.is_loop(lab) for lab in contracted.labels())
 
 
-def adequacy_polynomial(g: SignedMap, edge_subset: Iterable,
+def adequacy_polynomial(g: SignedMap | tuple, edge_subset: Iterable | int,
                         engine: TutteEngine | None = None) -> BiPoly:
     """Product of the restriction polynomial at x=0 with the contraction
     polynomial at y=0; univariate in t, nonzero exactly on adequate subsets.
+
+    ``g`` is a connected map with at least one edge and ``edge_subset`` a
+    set of its labels.  The enumeration instead passes ``_mgraph_of(g)``,
+    checked once for the whole run, and each subset as a bitmask over
+    ``g.sorted_labels()``.  Both minors are built at index level: G|S keeps
+    the edges of S, and G/S maps the other edges through a union-find over
+    the components of S.
     """
-    _require_connected(g)
-    if g.n_edges == 0:
-        raise ValueError("graph must have at least one edge")
-    edge_subset = g.check_edge_set(edge_subset)
+    if isinstance(g, SignedMap):
+        _require_connected(g)
+        if g.n_edges == 0:
+            raise ValueError("graph must have at least one edge")
+        edge_subset = g.check_edge_set(edge_subset)
+        mask = sum(1 << i for i, lab in enumerate(g.sorted_labels()) if lab in edge_subset)
+        mg = _mgraph_of(g)
+    else:
+        mg, mask = g, edge_subset
+    n, edges = mg
+    inside = _DSU(n)
+    kept = []
+    for i, (u, v) in enumerate(edges):
+        if mask >> i & 1:
+            kept.append((u, v))
+            inside.union(u, v)
+    find = inside.find
+    merged = tuple((find(u), find(v)) for i, (u, v) in enumerate(edges) if not mask >> i & 1)
     eng = engine or TutteEngine()
-    left = eng.tutte(restrict(g, edge_subset)).specialize("x_to_zero")
-    right = eng.tutte(contract(g, edge_subset)).specialize("y_to_zero")
-    return left * right
+    left = eng.evaluate((n, tuple(kept)), X_ZERO)
+    if left.is_zero():
+        return left
+    return left * eng.evaluate((n, merged), Y_ZERO)
 
 
 def state_from_partition(g: SignedMap, edge_subset: Iterable,
@@ -186,11 +207,12 @@ def enumerate_adequate(
     masks = cyclic_flat_masks(g)
 
     eng = engine or TutteEngine()
+    mg = _mgraph_of(g)
     records = []
     total = BiPoly.zero()
     for mask in masks:
         subset = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
-        poly = adequacy_polynomial(g, subset, eng)
+        poly = adequacy_polynomial(mg, mask, eng)
         if poly.is_zero():
             raise VerificationError(
                 f"subset {sorted(subset, key=label_sort_key)} passed the partition "
@@ -278,12 +300,12 @@ def homogeneous_adequate(g: SignedMap, edge_subset: Iterable) -> bool:
         raise ValueError("homogeneity conditions require a reduced graph")
 
     # condition on components of the restriction
-    sub = restrict(g, edge_subset)
-    _, assignment = components(sub)
+    pieces = _DSU(g.n_vertices)
+    for lab in edge_subset:
+        pieces.union(*g.endpoints(lab))
     comp_signs: dict[int, set[int]] = {}
     for lab in edge_subset:
-        cu = assignment[g.vertex_of_half(g.edge(lab).half_a)]
-        comp_signs.setdefault(cu, set()).add(g.sign(lab))
+        comp_signs.setdefault(pieces.find(g.endpoints(lab)[0]), set()).add(g.sign(lab))
     if any(len(s) > 1 for s in comp_signs.values()):
         return False
 

@@ -200,10 +200,13 @@ def load_diagram_json(text: str) -> LinkDiagram:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise PDParseError("malformed diagram JSON: expected an object")
-    try:
-        crossings = tuple(tuple(int(x) for x in cr) for cr in doc["crossings"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise PDParseError(f"malformed diagram JSON: {exc}") from exc
+    crossings = doc.get("crossings")
+    if not isinstance(crossings, list):
+        raise PDParseError("malformed diagram JSON: expected a 'crossings' list")
+    for cr in crossings:
+        if not (isinstance(cr, list) and all(map(_is_int, cr))):
+            raise PDParseError(f"malformed diagram JSON: crossing {cr!r} is not a list of integers")
+    crossings = tuple(map(tuple, crossings))
     if any(len(cr) != 4 for cr in crossings):
         raise PDParseError("each crossing needs exactly 4 arcs")
     if not crossings:

@@ -72,7 +72,8 @@ def label_sort_key(label: Label):
 class SignedMap:
     """Immutable signed multigraph with a rotation system."""
 
-    __slots__ = ("vertices", "edges", "_half2vertex", "_half2edge", "_label2edge", "_faces")
+    __slots__ = ("vertices", "edges", "_half2vertex", "_half2edge", "_label2edge", "_faces",
+                 "_classified")
 
     def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence[Edge | tuple]):
         vtuple = tuple(tuple(rot) for rot in vertices)
@@ -109,6 +110,7 @@ class SignedMap:
         self._half2edge = half2edge
         self._label2edge = label2edge
         self._faces = None
+        self._classified = None
 
     # -- basic queries -------------------------------------------------
 
@@ -293,14 +295,16 @@ def is_connected(g: SignedMap) -> bool:
 def edge_blocks(n: int, edges: Sequence[tuple]) -> list[list[int]]:
     """Block decomposition of a multigraph on vertices ``0..n-1``.
 
-    ``edges[i]`` is ``(u, v, key)``: the endpoints of edge i and any value.
+    ``edges[i]`` starts with ``u, v``, the endpoints of edge i; anything
+    after them is ignored.
     Returns the blocks as lists of edge indices: each loop alone, split off
     before the DFS, then each bridge alone and each maximal 2-connected
     piece, component by component.  Isolated vertices are in no block.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     out: list[list[int]] = []
-    for i, (u, v, _) in enumerate(edges):
+    for i, e in enumerate(edges):
+        u, v = e[0], e[1]
         if u == v:
             out.append([i])
         else:
@@ -309,33 +313,33 @@ def edge_blocks(n: int, edges: Sequence[tuple]) -> list[list[int]]:
     disc = [-1] * n
     low = [0] * n
     timer = 0
-    seen_edge = [False] * len(edges)
     edge_stack: list[int] = []
     for start in range(n):
-        if disc[start] != -1:
+        if disc[start] != -1 or not adj[start]:
             continue
-        stack = [(start, -1, 0)]  # vertex, parent edge index, adjacency pointer
+        disc[start] = low[start] = timer
+        timer += 1
+        stack = [(start, -1, iter(adj[start]))]  # vertex, parent edge, neighbors left
         while stack:
-            v, pedge, ptr = stack[-1]
-            if ptr == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if ptr < len(adj[v]):
-                stack[-1] = (v, pedge, ptr + 1)
-                w, eidx = adj[v][ptr]
-                if eidx == pedge or seen_edge[eidx]:
-                    continue
-                seen_edge[eidx] = True
-                edge_stack.append(eidx)
+            v, pedge, nbrs = stack[-1]
+            for w, eidx in nbrs:
                 if disc[w] == -1:
-                    stack.append((w, eidx, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
+                    edge_stack.append(eidx)
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, eidx, iter(adj[w])))
+                    break
+                # a non-tree edge is taken once, from its lower end
+                if eidx != pedge and disc[w] < disc[v]:
+                    edge_stack.append(eidx)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
             else:
                 stack.pop()
                 if stack:
                     pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
                     if low[v] >= disc[pv]:
                         # pv is a cut vertex or the root: pop one block
                         blk: list[int] = []
@@ -355,15 +359,19 @@ def _ends(g: SignedMap) -> list[tuple[int, int, Label]]:
 def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
     """(bridges, loops) as label sets. Loops are never bridges.
 
-    A bridge is a block of one edge that is not a loop.
+    A bridge is a block of one edge that is not a loop.  The result is
+    cached on the map.
     """
+    if g._classified is not None:
+        return g._classified
     ends = _ends(g)
     bridges, loops = set(), set()
     for blk in edge_blocks(g.n_vertices, ends):
         if len(blk) == 1:
             u, v, lab = ends[blk[0]]
             (loops if u == v else bridges).add(lab)
-    return frozenset(bridges), frozenset(loops)
+    g._classified = (frozenset(bridges), frozenset(loops))
+    return g._classified
 
 
 def cycle_membership(g: SignedMap) -> dict[Label, bool]:

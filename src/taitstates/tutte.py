@@ -1,10 +1,24 @@
 """Tutte polynomial engine: deletion-contraction with block factorization.
 
-The recursion follows the standard four cases (edgeless graph, bridge, loop,
-generic edge) and multiplies over connected components and over blocks of a
-connected graph.  Intermediate minors are memoized under a canonical form of
-the unlabeled underlying multigraph, which pays off heavily when many
-restrictions/contractions of one host graph are processed in a row.
+One recursion serves the full polynomial and its two one-variable
+specializations.  It multiplies over the blocks of the graph, and a block
+of one edge contributes a fixed value: y for a loop and x for a bridge in
+the full polynomial T(x, y).  At x = 0 a bridge contributes zero and a loop
+t, giving T(0, t); at y = 0 a loop contributes zero and a bridge t, giving
+T(t, 0).  A zero block ends the product before any block is expanded.
+Every other block (2-connected, at least two edges) splits by
+deletion-contraction on its lowest edge.  The one-variable modes first look
+for an edge with a zero branch and follow only the other branch: at x = 0
+an edge at a vertex of degree two, whose deletion leaves a bridge, and at
+y = 0 an edge with a parallel partner, whose contraction leaves a loop.
+The per-state polynomials of the adequacy layer are T(G|S; 0, t) and
+T(G/S; t, 0) (Kook, Reiner, Stanton, JCTB 76, 1999); on the Tait graphs
+of knot diagrams more than half of their splits take such an edge.
+
+Blocks are memoized under the mode and their edge sequence: edges in label
+order, vertices numbered by first appearance.  Equal keys are equal
+multigraphs, so the memo is exact, and one engine can serve any number of
+host graphs.
 
 Signs and the embedding are ignored throughout: the polynomial only sees the
 abstract multigraph.
@@ -12,7 +26,7 @@ abstract multigraph.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable
 
 from .bipoly import BiPoly
@@ -33,57 +47,53 @@ class CapExceededError(ValueError):
     """Brute-force operation asked to run past its edge cap."""
 
 
-# internal multigraph: vertex count + sorted tuple of (u, v, key) with u <= v
+# internal multigraph: vertex count + tuple of (u, v) edges in label order
 _MG = tuple
+
+# evaluation modes: T(x, y), T(0, t) and T(t, 0)
+FULL, X_ZERO, Y_ZERO = 0, 1, 2
+
+# (loop, bridge) value of a one-edge block per mode, as the exponent pair of
+# a monomial: y is (0, 1), x is (1, 0), and t, which one-variable results
+# carry on the first axis, is (1, 0) too; None is zero
+_EDGE_VALUES = {
+    FULL: ((0, 1), (1, 0)),
+    X_ZERO: ((1, 0), None),
+    Y_ZERO: (None, (1, 0)),
+}
 
 
 def _mgraph_of(g: SignedMap) -> _MG:
-    edges = []
-    for e in g.edges:
-        u = g.vertex_of_half(e.half_a)
-        v = g.vertex_of_half(e.half_b)
-        if u > v:
-            u, v = v, u
-        edges.append((u, v, label_sort_key(e.label)))
-    edges.sort(key=lambda t: t[2])
-    return (g.n_vertices, tuple(edges))
+    """Edges of ``g`` in ``g.sorted_labels()`` order, as vertex-index pairs."""
+    ends = sorted(
+        (label_sort_key(e.label), g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b))
+        for e in g.edges
+    )
+    return (g.n_vertices, tuple((u, v) for _, u, v in ends))
 
 
 def _mg_induce_edges(edges, idxs: Iterable[int]) -> _MG:
-    """Sub-multigraph on the given edge indices, vertex ids compacted."""
-    sub = sorted((edges[i] for i in idxs), key=lambda t: t[2])
+    """Sub-multigraph on the given edge indices, in index order, with the
+    vertices renumbered by first appearance."""
     remap: dict[int, int] = {}
     out = []
-    for u, v, k in sub:
-        for w in (u, v):
-            if w not in remap:
-                remap[w] = len(remap)
-        a, b = remap[u], remap[v]
-        out.append((a, b, k) if a <= b else (b, a, k))
+    for i in sorted(idxs):
+        u, v = edges[i]
+        a = remap.setdefault(u, len(remap))
+        b = remap.setdefault(v, len(remap))
+        out.append((a, b))
     return (len(remap), tuple(out))
 
 
 def _mg_contract(mg: _MG, idx: int) -> _MG:
+    """Contract edge ``idx`` (not a loop): its second end merges into the first."""
     n, edges = mg
-    u0, v0, _ = edges[idx]
-    # merge v0 into u0
+    u0, v0 = edges[idx]
     out = []
-    for i, (u, v, k) in enumerate(edges):
-        if i == idx:
-            continue
-        uu = u0 if u == v0 else u
-        vv = u0 if v == v0 else v
-        uu, vv = (uu, vv) if uu <= vv else (vv, uu)
-        out.append((uu, vv, k))
-    # compact vertex ids
-    remap = {}
-    for w in range(n):
-        if w == v0:
-            continue
-        remap[w] = len(remap)
-    out = tuple((remap[u], remap[v], k) if remap[u] <= remap[v] else (remap[v], remap[u], k)
-                for u, v, k in out)
-    return (n - 1, out)
+    for i, (u, v) in enumerate(edges):
+        if i != idx:
+            out.append((u0 if u == v0 else u, u0 if v == v0 else v))
+    return (n, tuple(out))
 
 
 def _mg_delete(mg: _MG, idx: int) -> _MG:
@@ -91,127 +101,81 @@ def _mg_delete(mg: _MG, idx: int) -> _MG:
     return (n, edges[:idx] + edges[idx + 1:])
 
 
-def _canonical_cert(mg: _MG, budget: int = 2_000) -> tuple | None:
-    """Canonical form of the unlabeled multigraph, or None if not worth it.
-
-    Iterated neighbor-color refinement, then exhaustive ordering within the
-    surviving color classes.  Bails out (returning None, which just skips
-    memoization) on very small graphs, where recursion is cheaper than
-    canonicalization, and on highly symmetric ones, where the ordering
-    search would dwarf the recursion it is meant to save.
-    """
-    n, edges = mg
-    if len(edges) <= 4:
-        return None
-    deg = [0] * n
-    loops = [0] * n
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        if u == v:
-            loops[u] += 1
-            deg[u] += 2
-        else:
-            deg[u] += 1
-            deg[v] += 1
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-
-    color = [(deg[v], loops[v]) for v in range(n)]
-    for _ in range(n + 1):
-        new = [
-            (color[v], tuple(sorted(color[w] for w in nbrs[v])))
-            for v in range(n)
-        ]
-        ranks = {c: i for i, c in enumerate(sorted(set(new)))}
-        nxt = [ranks[new[v]] for v in range(n)]
-        if nxt == color:
-            break
-        color = nxt
-
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(color[v], []).append(v)
-    sizes = [len(vs) for vs in classes.values()]
-    total = 1
-    for s in sizes:
-        for i in range(2, s + 1):
-            total *= i
-        if total > budget:
-            return None
-
-    class_order = sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    best: tuple | None = None
-    prefix: list[int] = []
-
-    def orderings(groups: list[list[int]]):
-        if not groups:
-            yield []
-            return
-        head, *rest = groups
-        for perm in permutations(head):
-            for tail in orderings(rest):
-                yield list(perm) + tail
-
-    for ordering in orderings([vs for _, vs in class_order]):
-        pos = {v: i for i, v in enumerate(ordering)}
-        cert = tuple(sorted(
-            (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v, _ in edges
-        ))
-        full = (n, cert)
-        if best is None or full < best:
-            best = full
-    return best
-
-
 class TutteEngine:
     """Deletion-contraction evaluator with a per-engine memo cache.
 
-    The cache maps canonical multigraph forms to polynomials; concurrent
-    insertions of the same key always carry equal values, so sharing an
-    engine across threads is safe in principle, though the implementation
-    does not lock.
+    The cache maps (mode, block) keys to polynomials; concurrent insertions
+    of the same key always carry equal values, so sharing an engine across
+    threads is safe in principle, though the implementation does not lock.
     """
 
     def __init__(self):
         self.cache: dict[tuple, BiPoly] = {}
-        self._x = BiPoly.x()
-        self._y = BiPoly.y()
 
     # public entry -------------------------------------------------------
 
     def tutte(self, g: SignedMap) -> BiPoly:
-        return self._poly(_mgraph_of(g))
+        return self.evaluate(_mgraph_of(g), FULL)
 
     # recursion ----------------------------------------------------------
 
-    def _poly(self, mg: _MG) -> BiPoly:
+    def evaluate(self, mg: _MG, mode: int) -> BiPoly:
+        """T(x, y), T(0, t) or T(t, 0) of an index-level multigraph, by
+        ``mode``; vertices outside every edge are ignored."""
         n, edges = mg
-        if not edges:
-            return BiPoly.one()
-        out = BiPoly.one()
+        loop, bridge = _EDGE_VALUES[mode]
+        i = j = 0  # exponents of the product of the one-edge blocks
+        big = []
         for blk in edge_blocks(n, edges):
-            out = out * self._poly_block(_mg_induce_edges(edges, blk))
+            if len(blk) > 1:
+                big.append(blk)
+                continue
+            u, v = edges[blk[0]]
+            value = loop if u == v else bridge
+            if value is None:
+                return BiPoly.zero()
+            i += value[0]
+            j += value[1]
+        out = BiPoly({(i, j): 1}) if i or j or not big else None
+        for blk in big:
+            # a block of two or more edges has no loop and no bridge, so its
+            # value is nonzero in every mode
+            value = self._evaluate_block(_mg_induce_edges(edges, blk), mode)
+            out = value if out is None else out * value
         return out
 
-    def _poly_block(self, mg: _MG) -> BiPoly:
+    def _evaluate_block(self, mg: _MG, mode: int) -> BiPoly:
+        key = (mode, mg)
+        hit = self.cache.get(key)
+        if hit is None:
+            hit = self._split(mg, mode)
+            self.cache[key] = hit
+        return hit
+
+    def _split(self, mg: _MG, mode: int) -> BiPoly:
+        """Deletion-contraction on a block: 2-connected with >= 2 edges, so
+        no edge is a bridge or a loop."""
         n, edges = mg
-        if len(edges) == 1:
-            u, v, _ = edges[0]
-            return self._y if u == v else self._x
-
-        key = _canonical_cert(mg)
-        if key is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit
-
-        # 2-connected with >= 2 edges: no edge is a bridge or a loop, so the
-        # pivot is simply the lowest label
-        result = self._poly(_mg_contract(mg, 0)) + self._poly(_mg_delete(mg, 0))
-
-        if key is not None:
-            self.cache[key] = result
-        return result
+        if mode == X_ZERO:
+            # deleting an edge at a vertex of degree two leaves the other
+            # edge there a bridge: only the contraction survives
+            deg = [0] * n
+            for u, v in edges:
+                deg[u] += 1
+                deg[v] += 1
+            for idx, (u, v) in enumerate(edges):
+                if deg[u] == 2 or deg[v] == 2:
+                    return self.evaluate(_mg_contract(mg, idx), mode)
+        elif mode == Y_ZERO:
+            # contracting an edge with a parallel partner leaves the partner
+            # a loop: only the deletion survives
+            seen = set()
+            for idx, (u, v) in enumerate(edges):
+                pair = (u, v) if u < v else (v, u)
+                if pair in seen:
+                    return self.evaluate(_mg_delete(mg, idx), mode)
+                seen.add(pair)
+        return self.evaluate(_mg_contract(mg, 0), mode) + self.evaluate(_mg_delete(mg, 0), mode)
 
 
 def tutte(g: SignedMap, engine: TutteEngine | None = None) -> BiPoly:
@@ -237,7 +201,7 @@ def tutte_oracle(g: SignedMap, cap: int = 14) -> BiPoly:
 
         k = n
         for i in subset:
-            u, v, _ = edges[i]
+            u, v = edges[i]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[rv] = ru

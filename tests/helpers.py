@@ -236,16 +236,20 @@ def random_planar_map(n_edges: int, rng: random.Random, signed: bool = True,
     return SignedMap([tuple(r) for r in rotations], edges)
 
 
-def random_bridgeless_map(n_edges: int, rng: random.Random, signed: bool = True) -> SignedMap:
+def random_bridgeless_map(n_edges: int, rng: random.Random, signed: bool = True,
+                          n_vertices: int | None = None) -> SignedMap:
     """Random loopless bridgeless plane map: a cycle plus chord insertions.
 
     Chords join corners of one face at distinct vertices, so every edge ends
     up on a cycle and no loops appear; the result is always reduced in the
-    Tait sense.
+    Tait sense.  The cycle length (the vertex count) is drawn from
+    2..n_edges unless ``n_vertices`` pins it.
     """
     if n_edges < 2:
         raise ValueError("need at least 2 edges for a bridgeless map")
-    k = rng.randint(2, n_edges)
+    k = rng.randint(2, n_edges) if n_vertices is None else n_vertices
+    if not 2 <= k <= n_edges:
+        raise ValueError("need 2 <= n_vertices <= n_edges")
     base = cycle_graph(k)
     rotations = [list(rot) for rot in base.vertices]
     edges = [(e.half_a, e.half_b, rng.choice([+1, -1]) if signed else +1, e.label)

@@ -106,6 +106,32 @@ class TestPolynomial:
                 assert poly.is_zero() == (not adequate_by_partition(g, subset))
                 assert poly.nonnegative() or poly.is_zero()
 
+    def test_matches_oracle_product_every_subset(self):
+        # per-state minors built at index level against SignedMap surgery
+        # and the subset-expansion oracle, on every subset of small maps
+        from taitstates.sgraph import contract, is_connected, restrict
+        from taitstates.tutte import _mgraph_of, tutte_oracle
+
+        rng = random.Random(83)
+        eng = TutteEngine()
+        tried = 0
+        while tried < 12:
+            g = random_planar_map(rng.randint(1, 7), rng)
+            if not is_connected(g):
+                continue
+            tried += 1
+            labels = g.sorted_labels()
+            adequate = set(brute_adequate_masks(g))
+            mg = _mgraph_of(g)
+            for mask in range(1 << len(labels)):
+                subset = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
+                expect = (tutte_oracle(restrict(g, subset)).specialize("x_to_zero")
+                          * tutte_oracle(contract(g, subset)).specialize("y_to_zero"))
+                poly = adequacy_polynomial(g, subset, eng)
+                assert poly == expect, (tried, mask)
+                assert adequacy_polynomial(mg, mask, eng) == expect, (tried, mask)
+                assert poly.is_zero() == (mask not in adequate), (tried, mask)
+
 
 class TestStateFromPartition:
     def test_round_trip_with_diagram(self):

@@ -234,8 +234,16 @@ class TestMalformedInput:
         {"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], "outer_arc": [1]},
         {"vertices": [[0, 1]], "edges": [dict(GRAPH_EDGE, sign="minus")]},
         {"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, float("inf")]]},
+        {"crossings": [[1.9, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]},
+        {"crossings": [[1, 4, 2, 5], ["3", 6, 4, 1], [5, 2, 6, 3]]},
+        {"crossings": [[1, 4, 2, 5], [3, 6, 4, True], [5, 2, 6, 3]]},
+        {"crossings": [[1.0, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]},
+        {"crossings": [[1, 4, 2, 5], "3641", [5, 2, 6, 3]]},
+        {"crossings": 5},
     ], ids=["vertices-not-a-list", "label-is-a-list", "top-level-number",
-            "outer-arc-is-a-list", "sign-not-plus-or-minus", "arc-is-infinite"])
+            "outer-arc-is-a-list", "sign-not-plus-or-minus", "arc-is-infinite",
+            "arc-is-a-fraction", "arc-is-a-numeric-string", "arc-is-a-bool",
+            "arc-is-an-integral-float", "crossing-is-a-string", "crossings-not-a-list"])
     def test_exit_2_with_one_error_line(self, capsys, tmp_path, doc):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))

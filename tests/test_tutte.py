@@ -5,8 +5,12 @@ import pytest
 from taitstates.bipoly import BiPoly
 from taitstates.sgraph import SignedMap, planar_dual
 from taitstates.tutte import (
+    FULL,
+    X_ZERO,
+    Y_ZERO,
     CapExceededError,
     TutteEngine,
+    _mgraph_of,
     dual_symmetry_check,
     kook_sum,
     spanning_tree_count,
@@ -76,6 +80,14 @@ class TestEngine:
             eng = TutteEngine()
             assert eng.tutte(g) == tutte_oracle(g), trial
 
+    def test_oracle_agreement_200_shared_engine(self):
+        # block keys from different host graphs meet in one memo
+        rng = random.Random(101)
+        eng = TutteEngine()
+        for trial in range(200):
+            g = random_multigraph(rng)
+            assert eng.tutte(g) == tutte_oracle(g), trial
+
     def test_nonnegative_coefficients(self):
         rng = random.Random(7)
         for trial in range(60):
@@ -91,6 +103,41 @@ class TestEngine:
         a = eng.tutte(cycle_graph(6))
         assert eng.cache  # memo populated
         assert eng.tutte(cycle_graph(6)) == a
+
+
+def _small_graphs():
+    rng = random.Random(59)
+    for _ in range(60):
+        yield random_multigraph(rng, max_v=6, max_e=12)
+    for _ in range(60):
+        yield random_planar_map(rng.randint(1, 12), rng)
+
+
+class TestSpecializations:
+    """The x=0 and y=0 recursions against the subset-expansion oracle, on
+    graphs with loops and bridges so that the zero branches run."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_against_oracle(self, shared):
+        eng = TutteEngine()
+        for trial, g in enumerate(_small_graphs()):
+            if not shared:
+                eng = TutteEngine()
+            chi = tutte_oracle(g)
+            mg = _mgraph_of(g)
+            assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
+            assert eng.evaluate(mg, Y_ZERO) == chi.specialize("y_to_zero"), trial
+            assert eng.evaluate(mg, FULL).specialize("x_equals_y") == \
+                chi.specialize("x_equals_y"), trial
+
+    def test_zero_blocks(self):
+        eng = TutteEngine()
+        bridge_and_loop = _mgraph_of(SignedMap([(0,), (1, 2, 3)],
+                                               [(0, 1, +1, "b"), (2, 3, +1, "l")]))
+        assert eng.evaluate(bridge_and_loop, X_ZERO).is_zero()
+        assert eng.evaluate(bridge_and_loop, Y_ZERO).is_zero()
+        assert eng.evaluate(_mgraph_of(cycle_graph(4)), X_ZERO) == BiPoly.t_poly([0, 1])
+        assert eng.evaluate(_mgraph_of(cycle_graph(4)), Y_ZERO) == BiPoly.t_poly([0, 1, 1, 1])
 
 
 class TestSpanningTrees:
