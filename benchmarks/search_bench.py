@@ -4,8 +4,9 @@
 Two tables, each drawn from its own ``random.Random(seed)`` by
 ``tests/helpers.random_bridgeless_map``:
 
-* ``enumerate_adequate`` on one map per size m = 16..24 (the default edge
-  cap).  ``search`` is ``cyclic_flat_masks`` alone; ``polys`` is the rest of
+* ``enumerate_adequate`` on one map per size m = 16..40, with the edge cap
+  raised to m.  ``states`` is the number of adequate states.  ``search`` is
+  ``cyclic_flat_masks`` alone; ``polys`` is the rest of
   the enumeration (per-state polynomials, diagonal certificate, records),
   the whole ``enumerate_adequate`` call minus a separate timing of the
   search.
@@ -56,10 +57,10 @@ def _timed(fn, budget: float):
 def search_table(seed: int, budget: float) -> None:
     rng = random.Random(seed)
     print(f"{'edges':>6} {'vertices':>9} {'states':>7} {'search':>9} {'polys':>9}")
-    for m in range(16, 25):
+    for m in range(16, 41):
         g = random_bridgeless_map(m, rng)
         masks, t_search = _timed(lambda: cyclic_flat_masks(g), budget)
-        report, t_total = _timed(lambda: enumerate_adequate(g), budget)
+        report, t_total = _timed(lambda: enumerate_adequate(g, max_edges=m), budget)
         if masks is None or report is None:
             print(f"{m:>6} {g.n_vertices:>9} {'-':>7}  over budget")
             continue

@@ -66,6 +66,11 @@ def _require_connected(g: SignedMap) -> None:
         raise DisconnectedError("operation requires a connected graph")
 
 
+def _mask_of(g: SignedMap, edge_subset: frozenset) -> int:
+    """``edge_subset`` as a bitmask over ``g.sorted_labels()``."""
+    return sum(1 << i for i, lab in enumerate(g.sorted_labels()) if lab in edge_subset)
+
+
 def adequate_by_partition(g: SignedMap, edge_subset: Iterable) -> bool:
     """Partition test: the restriction to ``edge_subset`` has no bridges and the
     contraction of ``edge_subset`` has no loops.
@@ -101,7 +106,7 @@ def adequacy_polynomial(g: SignedMap | tuple, edge_subset: Iterable | int,
         if g.n_edges == 0:
             raise ValueError("graph must have at least one edge")
         edge_subset = g.check_edge_set(edge_subset)
-        mask = sum(1 << i for i, lab in enumerate(g.sorted_labels()) if lab in edge_subset)
+        mask = _mask_of(g, edge_subset)
         mg = _mgraph_of(g)
     else:
         mg, mask = g, edge_subset
@@ -186,7 +191,9 @@ def enumerate_adequate(
     with_homogeneous: bool = False,
 ) -> AdequacyReport:
     """All adequate edge subsets with their polynomials, verified against the
-    diagonal Tutte polynomial (a mismatch raises ``VerificationError``).
+    diagonal Tutte polynomial and against the count bounds: at most the
+    spanning-tree count, and on a map without loops and bridges the empty and
+    the full subset among them.  A failed check raises ``VerificationError``.
 
     Records are ordered by subset size then lexicographic edge labels, so
     rendered reports are byte-stable.  The map must be spherical: the search
@@ -204,7 +211,14 @@ def enumerate_adequate(
         )
 
     labels = g.sorted_labels()
+    bridges, loops = classify_edges(g)
+    sides = _signed_sides(g) if with_homogeneous else None
     masks = cyclic_flat_masks(g)
+    full = (1 << len(labels)) - 1
+    if not bridges and not loops and (0 not in masks or full not in masks):
+        raise VerificationError(
+            "the search missed the empty or the full subset of a reduced map"
+        )
 
     eng = engine or TutteEngine()
     mg = _mgraph_of(g)
@@ -218,11 +232,16 @@ def enumerate_adequate(
                 f"subset {sorted(subset, key=label_sort_key)} passed the partition "
                 "test but its polynomial vanishes"
             )
-        flag = homogeneous_adequate(g, subset) if with_homogeneous else None
+        flag = None if sides is None else _homogeneous(sides, mask)
         records.append(StateRecord(state_from_partition(g, subset), subset, poly, flag))
         total = total + poly
 
     diagonal = eng.tutte(g).specialize("x_equals_y")
+    tree_count = diagonal.eval(1, 1)
+    if len(masks) > tree_count:
+        raise VerificationError(
+            f"{len(masks)} states exceed the spanning-tree count {tree_count}"
+        )
     verified = total == diagonal
     if not verified:
         raise VerificationError(
@@ -233,7 +252,7 @@ def enumerate_adequate(
         states=tuple(records),
         state_sum=total,
         diagonal=diagonal,
-        tree_count=diagonal.eval(1, 1),
+        tree_count=tree_count,
         verified=verified,
     )
 
@@ -295,33 +314,44 @@ def homogeneous_adequate(g: SignedMap, edge_subset: Iterable) -> bool:
     """
     _require_connected(g)
     edge_subset = g.check_edge_set(edge_subset)
+    return _homogeneous(_signed_sides(g), _mask_of(g, edge_subset))
+
+
+def _signed_sides(g: SignedMap) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+    """What ``_homogeneous`` reads of the reduced map ``g``: the count of its
+    vertices and faces, and per edge in ``g.sorted_labels()`` order its two
+    vertices, its two faces (offset by the vertex count) and its sign."""
     bridges, loops = classify_edges(g)
     if bridges or loops:
         raise ValueError("homogeneity conditions require a reduced graph")
-
-    # condition on components of the restriction
-    pieces = _DSU(g.n_vertices)
-    for lab in edge_subset:
-        pieces.union(*g.endpoints(lab))
-    comp_signs: dict[int, set[int]] = {}
-    for lab in edge_subset:
-        comp_signs.setdefault(pieces.find(g.endpoints(lab)[0]), set()).add(g.sign(lab))
-    if any(len(s) > 1 for s in comp_signs.values()):
-        return False
-
-    # face-merge: deleting an edge fuses the two regions flanking it
+    nv = g.n_vertices
     foh = face_of_half(g)
-    regions = _DSU(len(faces(g)))
-    complement = g.labels() - edge_subset
-    for lab in complement:
+    sides = []
+    for lab in g.sorted_labels():
         e = g.edge(lab)
-        regions.union(foh[e.half_a], foh[e.half_b])
+        sides.append((g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b),
+                      nv + foh[e.half_a], nv + foh[e.half_b], e.sign))
+    return nv + len(faces(g)), sides
 
-    region_signs: dict[int, set[int]] = {}
-    for lab in complement:
-        e = g.edge(lab)
-        region_signs.setdefault(regions.find(foh[e.half_a]), set()).add(g.sign(lab))
-    return all(len(s) == 1 for s in region_signs.values())
+
+def _homogeneous(signed_sides: tuple[int, list], mask: int) -> bool:
+    """``homogeneous_adequate`` for the subset ``mask``, over what
+    ``_signed_sides`` read of the map."""
+    n, sides = signed_sides
+    # one union-find: the components of the restriction on the vertices,
+    # the faces of the embedded restriction on the faces
+    classes = _DSU(n)
+    for i, (u, v, f, h, _) in enumerate(sides):
+        if mask >> i & 1:
+            classes.union(u, v)
+        else:
+            classes.union(f, h)
+    signs: dict[int, int] = {}
+    for i, (u, _, f, _, sign) in enumerate(sides):
+        key = classes.find(u if mask >> i & 1 else f)
+        if signs.setdefault(key, sign) != sign:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,31 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             enumerate_adequate(cycle_graph(5), max_edges=4)
 
+    def test_count_certificate_needs_empty_and_full(self, monkeypatch):
+        import taitstates.adequacy as adequacy
+
+        search = adequacy.cyclic_flat_masks
+        monkeypatch.setattr(adequacy, "cyclic_flat_masks",
+                            lambda g: [mask for mask in search(g) if mask != 0])
+        with pytest.raises(VerificationError, match="empty or the full subset"):
+            enumerate_adequate(random_bridgeless_map(10, random.Random(4)))
+
+    def test_count_certificate_bounded_by_trees(self, monkeypatch):
+        import taitstates.adequacy as adequacy
+
+        # C_4 has 4 spanning trees; five copies of its two states exceed them
+        monkeypatch.setattr(adequacy, "cyclic_flat_masks", lambda g: [0, 15] * 5)
+        with pytest.raises(VerificationError, match="exceed the spanning-tree count 4"):
+            enumerate_adequate(cycle_graph(4))
+
+    def test_homogeneity_flags_match_per_subset_check(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            g = random_bridgeless_map(rng.randint(2, 14), rng)
+            rep = enumerate_adequate(g, with_homogeneous=True)
+            for rec in rep.states:
+                assert rec.homogeneous == homogeneous_adequate(g, rec.edge_subset)
+
     def test_requires_connected(self):
         g = SignedMap([(0,), (1,), ()], [(0, 1, +1, 0)])
         with pytest.raises(DisconnectedError):

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from taitstates._scan import cyclic_flat_masks
-from taitstates.sgraph import planar_dual
+from taitstates.adequacy import adequate_by_partition
+from taitstates.sgraph import DisconnectedError, SignedMap, planar_dual
 
 from helpers import (
     brute_adequate_masks,
@@ -14,6 +17,18 @@ from helpers import (
 
 def test_cycle_masks():
     assert cyclic_flat_masks(cycle_graph(5)) == [0, 31]
+
+
+def test_long_cycle_needs_no_recursion():
+    # 1,200 decisions deep, past the interpreter's default recursion limit
+    assert cyclic_flat_masks(cycle_graph(1200)) == [0, (1 << 1200) - 1]
+
+
+def test_disconnected_map_is_refused():
+    # a loop at each of two vertices: the walk from vertex 0 misses one edge
+    g = SignedMap([(0, 1), (2, 3)], [(0, 1, +1, 0), (2, 3, +1, 1)])
+    with pytest.raises(DisconnectedError):
+        cyclic_flat_masks(g)
 
 
 def test_double_edge_path_masks():
@@ -43,7 +58,21 @@ def test_dual_flats_are_complements():
     # share one bit order; this holds past the sizes the oracle can scan
     rng = random.Random(5)
     for _ in range(30):
-        g = random_bridgeless_map(rng.randint(2, 20), rng)
+        g = random_bridgeless_map(rng.randint(2, 40), rng)
         full = (1 << g.n_edges) - 1
         dual = cyclic_flat_masks(planar_dual(g))
         assert dual == sorted(full ^ mask for mask in cyclic_flat_masks(g))
+
+
+def test_masks_pass_partition_test_past_oracle():
+    # every mask found on maps too large for the oracle is adequate by the
+    # definition: its restriction has no bridge, its contraction no loop
+    rng = random.Random(7)
+    for m in range(24, 41):
+        g = random_bridgeless_map(m, rng)
+        labels = g.sorted_labels()
+        masks = cyclic_flat_masks(g)
+        assert masks[0] == 0 and masks[-1] == (1 << m) - 1
+        for mask in masks:
+            subset = [labels[i] for i in range(m) if mask >> i & 1]
+            assert adequate_by_partition(g, subset), (m, mask)
