@@ -9,10 +9,11 @@ Two tables, each drawn from its own ``random.Random(seed)`` by
   ``cyclic_flat_masks`` alone; ``polys`` is the rest of
   the enumeration (per-state polynomials, diagonal certificate, records),
   the whole ``enumerate_adequate`` call minus a separate timing of the
-  search.
+  search.  ``memo`` is the number of entries the enumeration's fresh Tutte
+  engine ends with, and ``memo/st`` that number per state.
 * ``tutte`` with a fresh engine, the work of one ``taitstates tutte`` call,
   on four maps per size m = 20, 24, ..., 36 with the vertex count pinned at
-  m/2 + 1.
+  m/2 + 1.  ``memo`` is the number of entries the engine ends with.
 
 A case that runs past the budget is abandoned and reported as such.
 
@@ -29,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import random_bridgeless_map  # noqa: E402
-from taitstates import enumerate_adequate, tutte  # noqa: E402
+from taitstates import TutteEngine, enumerate_adequate  # noqa: E402
 from taitstates._scan import cyclic_flat_masks  # noqa: E402
 
 
@@ -56,30 +57,35 @@ def _timed(fn, budget: float):
 
 def search_table(seed: int, budget: float) -> None:
     rng = random.Random(seed)
-    print(f"{'edges':>6} {'vertices':>9} {'states':>7} {'search':>9} {'polys':>9}")
+    print(f"{'edges':>6} {'vertices':>9} {'states':>7} {'search':>9} {'polys':>9} "
+          f"{'memo':>7} {'memo/st':>8}")
     for m in range(16, 41):
         g = random_bridgeless_map(m, rng)
         masks, t_search = _timed(lambda: cyclic_flat_masks(g), budget)
-        report, t_total = _timed(lambda: enumerate_adequate(g, max_edges=m), budget)
+        eng = TutteEngine()
+        report, t_total = _timed(lambda: enumerate_adequate(g, eng, max_edges=m), budget)
         if masks is None or report is None:
             print(f"{m:>6} {g.n_vertices:>9} {'-':>7}  over budget")
             continue
         print(f"{m:>6} {g.n_vertices:>9} {report.count:>7} "
-              f"{t_search:>8.4f}s {t_total - t_search:>8.4f}s")
+              f"{t_search:>8.4f}s {t_total - t_search:>8.4f}s "
+              f"{len(eng.cache):>7} {len(eng.cache) / report.count:>8.2f}")
 
 
 def tutte_table(seed: int, budget: float) -> None:
     rng = random.Random(seed)
-    print(f"{'edges':>6} {'vertices':>9} {'trees':>14} {'tutte':>9}")
+    print(f"{'edges':>6} {'vertices':>9} {'trees':>14} {'tutte':>9} {'memo':>7}")
     total = 0.0
     for m in range(20, 37, 4):
         for _ in range(4):
             g = random_bridgeless_map(m, rng, n_vertices=m // 2 + 1)
-            chi, elapsed = _timed(lambda: tutte(g), budget)
+            eng = TutteEngine()
+            chi, elapsed = _timed(lambda: eng.tutte(g), budget)
             total += elapsed
             trees = "-" if chi is None else str(chi.eval(1, 1))
             note = "  over budget" if chi is None else ""
-            print(f"{m:>6} {g.n_vertices:>9} {trees:>14} {elapsed:>8.3f}s{note}")
+            print(f"{m:>6} {g.n_vertices:>9} {trees:>14} {elapsed:>8.3f}s "
+                  f"{len(eng.cache):>7}{note}")
     print(f"total {total:.3f}s")
 
 

@@ -6,14 +6,24 @@ of one edge contributes a fixed value: y for a loop and x for a bridge in
 the full polynomial T(x, y).  At x = 0 a bridge contributes zero and a loop
 t, giving T(0, t); at y = 0 a loop contributes zero and a bridge t, giving
 T(t, 0).  A zero block ends the product before any block is expanded.
-Every other block (2-connected, at least two edges) splits by
-deletion-contraction on its lowest edge.  The one-variable modes first look
-for an edge with a zero branch and follow only the other branch: at x = 0
-an edge at a vertex of degree two, whose deletion leaves a bridge, and at
-y = 0 an edge with a parallel partner, whose contraction leaves a loop.
 The per-state polynomials of the adequacy layer are T(G|S; 0, t) and
-T(G/S; t, 0) (Kook, Reiner, Stanton, JCTB 76, 1999); on the Tait graphs
-of knot diagrams more than half of their splits take such an edge.
+T(G/S; t, 0) (Kook, Reiner, Stanton, JCTB 76, 1999).
+
+A block of two or more edges is a bond, a cycle or neither.  A bond of m
+edges is x + y + ... + y^(m-1) and a cycle of m edges y + x + ... +
+x^(m-1).  Any other block splits on its largest parallel class or series
+path P (a path through vertices of degree two) of k edges, after the
+multi-edge and series reductions of Haggard, Pearce and Royle (ACM TOMS 37,
+2010):
+
+    T(G) = T(G - P) + [k]_y T(G/P)     for a parallel class,
+    T(G) = [k]_x T(G - P) + T(G/P)     for a series path,
+
+with [k]_z = 1 + z + ... + z^(k-1).  G/P contracts the whole of P: a class
+leaves k - 1 loops, which are dropped, and a path merges all its vertices.
+Each mode reads x and y as it reads a bridge and a loop, so [k]_z is 1 on
+the variable that is zero and no mode needs a rule of its own.  A class of
+one edge is the plain split T(G - e) + T(G/e).
 
 Blocks are memoized under the mode and their edge sequence: edges in label
 order, vertices numbered by first appearance.  Equal keys are equal
@@ -85,20 +95,13 @@ def _mg_induce_edges(edges, idxs: Iterable[int]) -> _MG:
     return (len(remap), tuple(out))
 
 
-def _mg_contract(mg: _MG, idx: int) -> _MG:
-    """Contract edge ``idx`` (not a loop): its second end merges into the first."""
-    n, edges = mg
-    u0, v0 = edges[idx]
-    out = []
-    for i, (u, v) in enumerate(edges):
-        if i != idx:
-            out.append((u0 if u == v0 else u, u0 if v == v0 else v))
-    return (n, tuple(out))
-
-
-def _mg_delete(mg: _MG, idx: int) -> _MG:
-    n, edges = mg
-    return (n, edges[:idx] + edges[idx + 1:])
+def _geometric(z, lo: int, hi: int) -> BiPoly:
+    """z^lo + ... + z^(hi-1) for the monomial with exponent pair ``z``;
+    ``None`` is zero, and is only passed with lo >= 1."""
+    if z is None:
+        return BiPoly.zero()
+    i, j = z
+    return BiPoly({(a * i, a * j): 1 for a in range(lo, hi)})
 
 
 class TutteEngine:
@@ -153,29 +156,67 @@ class TutteEngine:
         return hit
 
     def _split(self, mg: _MG, mode: int) -> BiPoly:
-        """Deletion-contraction on a block: 2-connected with >= 2 edges, so
-        no edge is a bridge or a loop."""
+        """Split a block (2-connected, >= 2 edges, so no loop and no bridge)
+        on its largest parallel class or series path P of k edges:
+        T = T(G - P) + [k]_y T(G/P) for a class and [k]_x T(G - P) + T(G/P)
+        for a path, where [k]_z = 1 + z + ... + z^(k-1).  A bond and a cycle
+        have closed forms."""
         n, edges = mg
-        if mode == X_ZERO:
-            # deleting an edge at a vertex of degree two leaves the other
-            # edge there a bridge: only the contraction survives
-            deg = [0] * n
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
-            for idx, (u, v) in enumerate(edges):
-                if deg[u] == 2 or deg[v] == 2:
-                    return self.evaluate(_mg_contract(mg, idx), mode)
-        elif mode == Y_ZERO:
-            # contracting an edge with a parallel partner leaves the partner
-            # a loop: only the deletion survives
-            seen = set()
-            for idx, (u, v) in enumerate(edges):
-                pair = (u, v) if u < v else (v, u)
-                if pair in seen:
-                    return self.evaluate(_mg_delete(mg, idx), mode)
-                seen.add(pair)
-        return self.evaluate(_mg_contract(mg, 0), mode) + self.evaluate(_mg_delete(mg, 0), mode)
+        m = len(edges)
+        loop, bridge = _EDGE_VALUES[mode]
+        if n == 2:  # a bond: x + y + ... + y^(m-1)
+            return _geometric(bridge, 1, 2) + _geometric(loop, 1, m)
+        if m == n:  # 2-connected with as many edges as vertices: a cycle,
+            # y + x + ... + x^(m-1)
+            return _geometric(loop, 1, 2) + _geometric(bridge, 1, m)
+        classes: dict[tuple[int, int], list[int]] = {}
+        inc: list[list[int]] = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(edges):
+            classes.setdefault((u, v) if u < v else (v, u), []).append(i)
+            inc[u].append(i)
+            inc[v].append(i)
+        part = max(classes.values(), key=len)  # the first of the largest
+        part_verts = edges[part[0]]
+        series = False
+        # each series path: walk both ways from a vertex of degree two to the
+        # vertices of higher degree that end it
+        seen = [False] * n
+        for w in range(n):
+            if seen[w] or len(inc[w]) != 2:
+                continue
+            walk, verts = [], [w]
+            for e in inc[w]:
+                cur = w
+                while True:
+                    walk.append(e)
+                    a, b = edges[e]
+                    cur = b if a == cur else a
+                    verts.append(cur)
+                    if len(inc[cur]) != 2:
+                        break
+                    seen[cur] = True
+                    e0, e1 = inc[cur]
+                    e = e1 if e0 == e else e0
+            if len(walk) > len(part):
+                part, part_verts, series = walk, verts, True
+        k = len(part)
+        # G - P keeps the other edges; G/P also merges the vertices of P
+        dropped = set(part)
+        rest = [e for i, e in enumerate(edges) if i not in dropped]
+        merged = set(part_verts)
+        r = part_verts[0]
+        rest_merged = tuple((r if u in merged else u, r if v in merged else v) for u, v in rest)
+        deleted = self.evaluate((n, tuple(rest)), mode)
+        contracted = self.evaluate((n, rest_merged), mode)
+        # [k]_z weighs the deletion of a path and the contraction of a class;
+        # it is 1 for k = 1 and for z = 0
+        z = bridge if series else loop
+        if k > 1 and z is not None:
+            if series:
+                deleted = _geometric(z, 0, k) * deleted
+            else:
+                contracted = _geometric(z, 0, k) * contracted
+        return deleted + contracted
 
 
 def tutte(g: SignedMap, engine: TutteEngine | None = None) -> BiPoly:

@@ -154,6 +154,50 @@ def double_edge_path(n: int, sign: int = +1) -> SignedMap:
     return SignedMap([tuple(v) for v in verts], edges)
 
 
+def theta_graph(lengths: list[int], sign: int = +1) -> SignedMap:
+    """Two poles joined by internally disjoint paths of the given lengths.
+
+    Paths of equal length make a theta graph; one path per length 1 edge is
+    a bond, and a bond with longer paths is a subdivided bond.  The paths are
+    nested arcs from pole 0 to pole 1, so the map is plane.
+    """
+    verts: list[list[int]] = [[], []]
+    edges = []
+    h = 0
+    for length in lengths:
+        prev = 0
+        for step in range(length):
+            nxt = 1 if step == length - 1 else len(verts)
+            if nxt != 1:
+                verts.append([])
+            verts[prev].append(h)
+            verts[nxt].append(h + 1)
+            edges.append((h, h + 1, sign, len(edges)))
+            h += 2
+            prev = nxt
+    # the arcs reach pole 1 in the reverse of their order at pole 0
+    verts[1].reverse()
+    return SignedMap([tuple(v) for v in verts], edges)
+
+
+def fat_cycle(multiplicities: list[int], sign: int = +1) -> SignedMap:
+    """A cycle on ``len(multiplicities)`` vertices whose i-th edge, from
+    vertex i to vertex i+1, is replaced by that many parallel edges; plane."""
+    c = len(multiplicities)
+    outgoing: list[list[int]] = [[] for _ in range(c)]
+    incoming: list[list[int]] = [[] for _ in range(c)]
+    edges = []
+    h = 0
+    for i, k in enumerate(multiplicities):
+        for _ in range(k):
+            outgoing[i].append(h)
+            incoming[(i + 1) % c].append(h + 1)
+            edges.append((h, h + 1, sign, len(edges)))
+            h += 2
+    return SignedMap([tuple(reversed(incoming[v])) + tuple(outgoing[v]) for v in range(c)],
+                     edges)
+
+
 def torus2n_diagram(n: int) -> LinkDiagram:
     """Standard (2,n) torus link diagram, canonically colored, Tait graph C_n."""
     return diagram_for_graph(cycle_graph(n))

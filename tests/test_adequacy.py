@@ -5,6 +5,7 @@ import random
 import pytest
 
 from taitstates.adequacy import (
+    _spanning_trees,
     ab_adequacy,
     adequacy_polynomial,
     adequate_by_partition,
@@ -20,12 +21,13 @@ from taitstates.adequacy import (
 from taitstates.bipoly import BiPoly
 from taitstates.diagram import LinkDiagram, State, checkerboard, classify, parse_pd, tait
 from taitstates.sgraph import DisconnectedError, SignedMap, flip_signs, planar_dual
-from taitstates.tutte import CapExceededError, TutteEngine
+from taitstates.tutte import X_ZERO, CapExceededError, TutteEngine
 
 from helpers import (
     all_states,
     adequacy_oracle,
     brute_adequate_masks,
+    brute_spanning_tree_count,
     cycle_graph,
     double_edge_path,
     homogeneity_oracle,
@@ -196,6 +198,24 @@ class TestEnumeration:
         with pytest.raises(VerificationError, match="exceed the spanning-tree count 4"):
             enumerate_adequate(cycle_graph(4))
 
+    def test_diagonal_certified_by_matrix_tree_count(self):
+        # an engine that doubles T(0, t) and T(x, y) keeps the state sum equal
+        # to the diagonal; only the independent tree count can catch it
+        class DoublingEngine:
+            def __init__(self):
+                self.inner = TutteEngine()
+
+            def evaluate(self, mg, mode):
+                value = self.inner.evaluate(mg, mode)
+                return value + value if mode == X_ZERO else value
+
+            def tutte(self, g):
+                value = self.inner.tutte(g)
+                return value + value
+
+        with pytest.raises(VerificationError, match="matrix-tree theorem 4"):
+            enumerate_adequate(cycle_graph(4), DoublingEngine())
+
     def test_homogeneity_flags_match_per_subset_check(self):
         rng = random.Random(23)
         for _ in range(10):
@@ -272,6 +292,28 @@ class TestEnumeration:
             for r in a.states:
                 flipped_subset = g.labels() - r.edge_subset
                 assert state_from_partition(flip_signs(g), flipped_subset) == r.state
+
+
+class TestMatrixTreeCount:
+    def test_matches_brute_force(self):
+        # random plane maps carry loops and parallel edges
+        rng = random.Random(67)
+        loops = parallels = 0
+        for trial in range(80):
+            g = random_planar_map(rng.randint(1, 11), rng)
+            ends = [tuple(sorted(g.endpoints(lab))) for lab in g.labels()]
+            loops += any(u == v for u, v in ends)
+            parallels += len(set(ends)) < len(ends)
+            assert _spanning_trees(g) == brute_spanning_tree_count(g), trial
+        assert loops and parallels
+
+    def test_disconnected_has_none(self):
+        g = SignedMap([(0,), (1,), (2,), (3,)], [(0, 1, +1, "a"), (2, 3, +1, "b")])
+        assert _spanning_trees(g) == 0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_hopf_path(self, n):
+        assert _spanning_trees(double_edge_path(n)) == 2 ** n
 
 
 class TestABAdequacy:

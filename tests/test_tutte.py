@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -22,7 +23,10 @@ from helpers import (
     brute_spanning_tree_count,
     cycle_graph,
     double_edge_path,
+    fat_cycle,
+    random_bridgeless_map,
     random_planar_map,
+    theta_graph,
 )
 
 
@@ -138,6 +142,115 @@ class TestSpecializations:
         assert eng.evaluate(bridge_and_loop, Y_ZERO).is_zero()
         assert eng.evaluate(_mgraph_of(cycle_graph(4)), X_ZERO) == BiPoly.t_poly([0, 1])
         assert eng.evaluate(_mgraph_of(cycle_graph(4)), Y_ZERO) == BiPoly.t_poly([0, 1, 1, 1])
+
+
+def inflated_multigraph(rng, max_e=14):
+    """A random multigraph whose edges are replaced by parallel classes and
+    series paths of up to four edges, so that its blocks hold whole classes."""
+    nv = rng.randint(2, 4)
+    ends = []
+    for _ in range(rng.randint(1, 5)):
+        u, v = rng.randrange(nv), rng.randrange(nv)
+        k = rng.randint(1, 4)
+        if len(ends) + k > max_e:
+            break
+        if rng.random() < 0.5:
+            ends.extend([(u, v)] * k)
+        else:
+            for step in range(k):
+                if step == k - 1:
+                    w = v
+                else:
+                    w = nv
+                    nv += 1
+                ends.append((u, w))
+                u = w
+    rots = [[] for _ in range(nv)]
+    edges = []
+    for i, (u, v) in enumerate(ends):
+        rots[u].append(2 * i)
+        rots[v].append(2 * i + 1)
+        edges.append((2 * i, 2 * i + 1, +1, i))
+    return SignedMap([tuple(r) for r in rots], edges)
+
+
+@functools.cache
+def _class_cases():
+    """(graph, oracle polynomial) for theta graphs, subdivided bonds, fat
+    cycles, single cycles and bonds, and random multigraphs built from whole
+    classes: at most 14 edges."""
+    return [(g, tutte_oracle(g)) for g in _class_graphs()]
+
+
+def _class_graphs():
+    for lengths in ([2, 2], [3, 3], [2, 2, 2], [3, 3, 3], [4, 4, 4], [2, 3, 4],
+                    [1, 2], [1, 2, 3, 4], [1, 1, 5], [1, 1, 1, 2, 2], [2, 5, 5],
+                    [1, 6, 6], [1, 4], [1, 13], [1] * 6, [1] * 14, [3] * 4):
+        yield theta_graph(lengths)
+    for mults in ([2, 2, 2], [3, 3, 3, 3], [1, 2, 3], [4, 1, 4], [2] * 7,
+                  [1, 1, 1, 5], [1, 1, 2, 2, 1, 1], [5, 5], [6, 1], [1] * 9, [4]):
+        yield fat_cycle(mults)
+    rng = random.Random(71)
+    for _ in range(80):
+        yield inflated_multigraph(rng)
+
+
+class TestClassSplits:
+    """Splits on whole parallel classes and series paths, and the cycle and
+    bond closed forms, against the subset-expansion oracle in all modes."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_against_oracle(self, shared):
+        eng = TutteEngine()
+        for trial, (g, chi) in enumerate(_class_cases()):
+            if not shared:
+                eng = TutteEngine()
+            mg = _mgraph_of(g)
+            assert eng.evaluate(mg, FULL) == chi, trial
+            assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
+            assert eng.evaluate(mg, Y_ZERO) == chi.specialize("y_to_zero"), trial
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bond_formula(self, n):
+        assert tutte(theta_graph([1] * n)) == cycle_poly(n).swap_vars()
+
+    @pytest.mark.parametrize("g, classes", [
+        (theta_graph([3] * 8), 8), (fat_cycle([3] * 8), 8),
+        (theta_graph([2] * 6), 6), (fat_cycle([4] * 5), 5),
+    ])
+    def test_one_memo_entry_per_class(self, g, classes):
+        # the split on one of c classes leaves c - 1 of them, down to a
+        # cycle or a bond, so at most one block per class is memoized
+        eng = TutteEngine()
+        eng.tutte(g)
+        assert len(eng.cache) <= classes
+
+
+def _maps_past_the_cap():
+    rng = random.Random(83)
+    for m in range(20, 41):
+        yield random_bridgeless_map(m, rng)
+    for m in range(20, 41, 4):
+        yield random_bridgeless_map(m, rng, n_vertices=m // 2 + 1)
+
+
+class TestPastOracleCap:
+    """Maps of 20 to 40 edges, beyond ``tutte_oracle``: planar duality turns
+    parallel classes into series paths, so each half of the split checks the
+    other, and the one-variable modes must agree with the full polynomial."""
+
+    def test_dual_symmetry(self):
+        eng = TutteEngine()
+        for trial, g in enumerate(_maps_past_the_cap()):
+            assert dual_symmetry_check(g, eng), trial
+
+    def test_modes_agree(self):
+        eng = TutteEngine()
+        for trial, g in enumerate(_maps_past_the_cap()):
+            mg = _mgraph_of(g)
+            chi = eng.evaluate(mg, FULL)
+            assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
+            assert eng.evaluate(mg, Y_ZERO) == chi.specialize("y_to_zero"), trial
 
 
 class TestSpanningTrees:
