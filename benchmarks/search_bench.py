@@ -9,8 +9,9 @@ Two tables, each drawn from its own ``random.Random(seed)`` by
   ``cyclic_flat_masks`` alone; ``polys`` is the rest of
   the enumeration (per-state polynomials, diagonal certificate, records),
   the whole ``enumerate_adequate`` call minus a separate timing of the
-  search.  ``memo`` is the number of entries the enumeration's fresh Tutte
-  engine ends with, and ``memo/st`` that number per state.
+  search.  ``render`` is ``report_to_json`` on the enumeration's report.
+  ``memo`` is the number of entries the enumeration's fresh Tutte engine
+  ends with, and ``memo/st`` that number per state.
 * ``tutte`` with a fresh engine, the work of one ``taitstates tutte`` call,
   on four maps per size m = 20, 24, ..., 36 with the vertex count pinned at
   m/2 + 1.  ``memo`` is the number of entries the engine ends with.
@@ -31,6 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import random_bridgeless_map  # noqa: E402
 from taitstates import TutteEngine, enumerate_adequate  # noqa: E402
+from taitstates.adequacy import report_to_json  # noqa: E402
 from taitstates._scan import cyclic_flat_masks  # noqa: E402
 
 
@@ -58,7 +60,7 @@ def _timed(fn, budget: float):
 def search_table(seed: int, budget: float) -> None:
     rng = random.Random(seed)
     print(f"{'edges':>6} {'vertices':>9} {'states':>7} {'search':>9} {'polys':>9} "
-          f"{'memo':>7} {'memo/st':>8}")
+          f"{'render':>9} {'memo':>7} {'memo/st':>8}")
     for m in range(16, 41):
         g = random_bridgeless_map(m, rng)
         masks, t_search = _timed(lambda: cyclic_flat_masks(g), budget)
@@ -67,8 +69,10 @@ def search_table(seed: int, budget: float) -> None:
         if masks is None or report is None:
             print(f"{m:>6} {g.n_vertices:>9} {'-':>7}  over budget")
             continue
+        text, t_render = _timed(lambda: report_to_json(report), budget)
+        render = "-" if text is None else f"{t_render:.4f}s"
         print(f"{m:>6} {g.n_vertices:>9} {report.count:>7} "
-              f"{t_search:>8.4f}s {t_total - t_search:>8.4f}s "
+              f"{t_search:>8.4f}s {t_total - t_search:>8.4f}s {render:>9} "
               f"{len(eng.cache):>7} {len(eng.cache) / report.count:>8.2f}")
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
 from ._scan import cyclic_flat_masks
@@ -37,7 +38,6 @@ from .sgraph import (
     face_of_half,
     faces,
     is_connected,
-    label_sort_key,
     restrict,
 )
 from .tutte import X_ZERO, Y_ZERO, CapExceededError, TutteEngine, _mgraph_of
@@ -56,6 +56,7 @@ __all__ = [
     "diagram_report",
     "report_to_json",
     "report_to_csv",
+    "report_to_table",
 ]
 
 DEFAULT_MAX_EDGES = 24
@@ -159,11 +160,66 @@ def state_from_partition(g: SignedMap, edge_subset: Iterable,
 
 
 @dataclass(frozen=True)
+class _LabelTable:
+    """What records and renderers read of a map, once per map: its labels in
+    ``sorted_labels()`` order, the negative ones as a bitmask, and each
+    label's text.  Equal tables come from maps with equal labels and signs."""
+
+    labels: tuple
+    negative: int
+    text: tuple[str, ...] = field(compare=False, repr=False)
+
+    @classmethod
+    def of(cls, g: SignedMap) -> "_LabelTable":
+        labels = tuple(g.sorted_labels())
+        negative = sum(1 << i for i, lab in enumerate(labels) if g.sign(lab) < 0)
+        return cls(labels, negative, tuple(map(str, labels)))
+
+    def indices(self, mask: int) -> list[int]:
+        return [i for i in range(len(self.labels)) if mask >> i & 1]
+
+    def members(self, mask: int) -> list:
+        """The labels of ``mask`` in sorted order."""
+        return [self.labels[i] for i in self.indices(mask)]
+
+    def letters(self, mask: int) -> str:
+        """The resolution of each label, in order: 'A' where the edge is
+        positive and inside ``mask`` or negative and outside it."""
+        bits = format(mask ^ self.negative, f"0{len(self.labels)}b")[::-1]
+        return bits.translate(_LETTERS)
+
+    def state(self, mask: int) -> State:
+        return State(tuple(zip(self.labels, self.letters(mask))))
+
+    @cached_property
+    def json_pieces(self) -> tuple[tuple[dict[str, str], ...], tuple[str, ...]]:
+        """Per label, its ``"state"`` entry for each resolution and its
+        ``"edge_subset"`` item, each on a new line at a record's depth."""
+        quoted = [_JSON_ITEM + encode_basestring_ascii(t) for t in self.text]
+        return (tuple({r: f'{q}: "{r}"' for r in "AB"} for q in quoted), tuple(quoted))
+
+
+_LETTERS = str.maketrans("01", "BA")
+
+
+@dataclass(frozen=True, slots=True)
 class StateRecord:
-    state: State
-    edge_subset: frozenset
+    """One adequate state.  ``mask`` is its edge subset as a bitmask over the
+    map's ``sorted_labels()``; ``edge_subset`` and ``state`` are built from
+    it on each access."""
+
+    mask: int
     poly: BiPoly
-    homogeneous: bool | None = None
+    homogeneous: bool | None
+    table: _LabelTable = field(repr=False)
+
+    @property
+    def edge_subset(self) -> frozenset:
+        return frozenset(self.table.members(self.mask))
+
+    @property
+    def state(self) -> State:
+        return self.table.state(self.mask)
 
 
 @dataclass(frozen=True)
@@ -212,11 +268,11 @@ def enumerate_adequate(
             f"enumeration capped at {max_edges} edges, got {g.n_edges}"
         )
 
-    labels = g.sorted_labels()
+    table = _LabelTable.of(g)
     bridges, loops = classify_edges(g)
     sides = _signed_sides(g) if with_homogeneous else None
     masks = cyclic_flat_masks(g)
-    full = (1 << len(labels)) - 1
+    full = (1 << g.n_edges) - 1
     if not bridges and not loops and (0 not in masks or full not in masks):
         raise VerificationError(
             "the search missed the empty or the full subset of a reduced map"
@@ -227,15 +283,14 @@ def enumerate_adequate(
     records = []
     total = BiPoly.zero()
     for mask in masks:
-        subset = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
         poly = adequacy_polynomial(mg, mask, eng)
         if poly.is_zero():
             raise VerificationError(
-                f"subset {sorted(subset, key=label_sort_key)} passed the partition "
+                f"subset {table.members(mask)} passed the partition "
                 "test but its polynomial vanishes"
             )
         flag = None if sides is None else _homogeneous(sides, mask)
-        records.append(StateRecord(state_from_partition(g, subset), subset, poly, flag))
+        records.append(StateRecord(mask, poly, flag, table))
         total = total + poly
 
     diagonal = eng.tutte(g).specialize("x_equals_y")
@@ -254,7 +309,11 @@ def enumerate_adequate(
         raise VerificationError(
             f"state sum {total.render_t()} differs from the diagonal {diagonal.render_t()}"
         )
-    records.sort(key=lambda r: (len(r.edge_subset), tuple(sorted(map(label_sort_key, r.edge_subset)))))
+    # by size, then by sorted labels: of two subsets of one size the first
+    # holds the lowest label where they differ, so it has the larger mask
+    # once the bit order is reversed
+    width = f"0{g.n_edges}b"
+    records.sort(key=lambda r: (r.mask.bit_count(), -int(format(r.mask, width)[::-1], 2)))
     return AdequacyReport(
         states=tuple(records),
         state_sum=total,
@@ -413,28 +472,62 @@ def diagram_report(
 # ---------------------------------------------------------------------------
 
 
-def _sorted_labels(edge_subset: frozenset) -> list:
-    return sorted(edge_subset, key=label_sort_key)
+# report_to_json prints what ``json.dumps(doc, indent=2)`` prints for the
+# document {"states": [{"state": {label: resolution}, "edge_subset": [label],
+# "poly_coeffs": [int], "homogeneous": bool (when set)}], "count": int,
+# "state_sum_coeffs": [int], "diagonal_coeffs": [int], "spanning_trees": int,
+# "verified": bool}, with every label as its str().  A record sits at depth
+# 2, so its entries start lines at depth 4.
+_JSON_ITEM = "\n        "
+
+
+def _json_ints(values: list[int], depth: int) -> str:
+    if not values:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + "  " * depth + "]"
+
+
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _json_record(rec: StateRecord) -> str:
+    table = rec.table
+    entries, items = table.json_pieces
+    state = ",".join([entry[r] for entry, r in zip(entries, table.letters(rec.mask))])
+    subset = [items[i] for i in table.indices(rec.mask)]
+    subset_text = "[" + ",".join(subset) + "\n      ]" if subset else "[]"
+    flag = "" if rec.homogeneous is None else \
+        f',\n      "homogeneous": {_bool_text(rec.homogeneous)}'
+    return (
+        "{\n"
+        f'      "state": {{{state}\n      }},\n'
+        f'      "edge_subset": {subset_text},\n'
+        f'      "poly_coeffs": {_json_ints(rec.poly.t_coeffs(), 3)}{flag}\n'
+        "    }"
+    )
 
 
 def report_to_json(report: AdequacyReport) -> str:
-    doc = {
-        "states": [
-            {
-                "state": {str(k): v for k, v in rec.state.items},
-                "edge_subset": [str(x) for x in _sorted_labels(rec.edge_subset)],
-                "poly_coeffs": rec.poly.t_coeffs(),
-                **({"homogeneous": rec.homogeneous} if rec.homogeneous is not None else {}),
-            }
-            for rec in report.states
-        ],
-        "count": report.count,
-        "state_sum_coeffs": report.state_sum.t_coeffs(),
-        "diagonal_coeffs": report.diagonal.t_coeffs(),
-        "spanning_trees": report.tree_count,
-        "verified": report.verified,
-    }
-    return json.dumps(doc, indent=2)
+    records = [_json_record(rec) for rec in report.states]
+    states = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    return (
+        "{\n"
+        f'  "states": {states},\n'
+        f'  "count": {report.count},\n'
+        f'  "state_sum_coeffs": {_json_ints(report.state_sum.t_coeffs(), 1)},\n'
+        f'  "diagonal_coeffs": {_json_ints(report.diagonal.t_coeffs(), 1)},\n'
+        f'  "spanning_trees": {report.tree_count},\n'
+        f'  "verified": {_bool_text(report.verified)}\n'
+        "}"
+    )
+
+
+def _texts(rec: StateRecord) -> list[str]:
+    """The record's labels as text, in sorted order."""
+    text = rec.table.text
+    return [text[i] for i in rec.table.indices(rec.mask)]
 
 
 def report_to_csv(report: AdequacyReport) -> str:
@@ -447,11 +540,26 @@ def report_to_csv(report: AdequacyReport) -> str:
     writer.writerow(header)
     for rec in report.states:
         row = [
-            str(rec.state),
-            ";".join(str(x) for x in _sorted_labels(rec.edge_subset)),
+            rec.table.letters(rec.mask),
+            ";".join(_texts(rec)),
             rec.poly.render_t(),
         ]
         if has_flags:
-            row.append("" if rec.homogeneous is None else str(rec.homogeneous).lower())
+            row.append("" if rec.homogeneous is None else _bool_text(rec.homogeneous))
         writer.writerow(row)
     return buf.getvalue()
+
+
+def report_to_table(report: AdequacyReport) -> str:
+    """The plain-text report: one line per state, then the count, the
+    diagonal, the spanning-tree count and the verdict."""
+    lines = []
+    for rec in report.states:
+        flag = "  homogeneous" if rec.homogeneous else ""
+        lines.append(f"state {rec.table.letters(rec.mask)}  edges [{','.join(_texts(rec))}]  "
+                     f"poly {rec.poly.render_t()}{flag}\n")
+    lines.append(f"count: {report.count}\n")
+    lines.append(f"diagonal: {report.diagonal.render_t()}\n")
+    lines.append(f"spanning trees: {report.tree_count}\n")
+    lines.append(f"verified: {_bool_text(report.verified)}\n")
+    return "".join(lines)

@@ -85,12 +85,14 @@ class BiPoly:
 
     def t_coeffs(self) -> list[int]:
         """Ascending coefficient list [c0, c1, ...] of a univariate value."""
-        if not self.is_univariate():
-            raise ValueError("polynomial is not univariate")
         if not self._terms:
             return [0]
-        top = max(i for (i, _) in self._terms)
-        return [self._terms.get((i, 0), 0) for i in range(top + 1)]
+        out = [0] * (max(self._terms)[0] + 1)
+        for (i, j), c in self._terms.items():
+            if j:
+                raise ValueError("polynomial is not univariate")
+            out[i] = c
+        return out
 
     # -- arithmetic ----------------------------------------------------
 

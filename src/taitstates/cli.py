@@ -26,6 +26,7 @@ from .adequacy import (
     enumerate_homogeneous,
     report_to_csv,
     report_to_json,
+    report_to_table,
 )
 from .diagram import (
     ColoringError,
@@ -39,7 +40,7 @@ from .diagram import (
     region_count,
     tait,
 )
-from .sgraph import DisconnectedError, label_sort_key
+from .sgraph import DisconnectedError
 from .tutte import CapExceededError, TutteEngine
 
 EXIT_OK = 0
@@ -117,16 +118,7 @@ def cmd_adequate(args) -> int:
     elif args.output == "csv":
         print(report_to_csv(report), end="")
     else:
-        for rec in report.states:
-            edges = ",".join(str(x) for x in sorted(rec.edge_subset, key=label_sort_key))
-            flag = ""
-            if rec.homogeneous is not None:
-                flag = "  homogeneous" if rec.homogeneous else ""
-            print(f"state {rec.state}  edges [{edges}]  poly {rec.poly.render_t()}{flag}")
-        print(f"count: {report.count}")
-        print(f"diagonal: {report.diagonal.render_t()}")
-        print(f"spanning trees: {report.tree_count}")
-        print(f"verified: {str(report.verified).lower()}")
+        print(report_to_table(report), end="")
     return EXIT_OK
 
 

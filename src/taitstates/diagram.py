@@ -40,6 +40,7 @@ from .sgraph import (
     classify_edges,
     face_of_half,
     faces,
+    label_sort_key,
 )
 
 __all__ = [
@@ -128,7 +129,7 @@ class State:
         for v in d.values():
             if v not in ("A", "B"):
                 raise ValueError(f"resolution must be 'A' or 'B', got {v!r}")
-        return cls(tuple(sorted(d.items(), key=lambda kv: _key_order(kv[0]))))
+        return cls(tuple(sorted(d.items(), key=lambda kv: label_sort_key(kv[0]))))
 
     @classmethod
     def uniform(cls, keys: Iterable, res: str) -> "State":
@@ -152,12 +153,6 @@ class State:
 
     def __str__(self) -> str:
         return "".join(v for _, v in self.items)
-
-
-def _key_order(k):
-    if isinstance(k, int) and not isinstance(k, bool):
-        return (0, k)
-    return (1, str(k))
 
 
 # ---------------------------------------------------------------------------

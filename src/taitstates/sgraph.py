@@ -88,6 +88,7 @@ class SignedMap:
 
         half2edge: dict[int, Edge] = {}
         label2edge: dict[Label, Edge] = {}
+        text2label: dict[str, Label] = {}
         for e in etuple:
             if e.sign not in (+1, -1):
                 raise ValueError(f"edge {e.label!r} has sign {e.sign}")
@@ -99,6 +100,12 @@ class SignedMap:
                 half2edge[h] = e
             if e.label in label2edge:
                 raise ValueError(f"duplicate edge label {e.label!r}")
+            # reports print labels with str(), so two labels may not print alike
+            text = str(e.label)
+            if text in text2label:
+                raise ValueError(f"edge labels {text2label[text]!r} and {e.label!r} "
+                                 f"both print as {text!r}")
+            text2label[text] = e.label
             label2edge[e.label] = e
         if len(half2edge) != len(half2vertex):
             missing = set(half2vertex) - set(half2edge)

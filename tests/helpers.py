@@ -8,6 +8,8 @@ package under test never consumes it.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from dataclasses import replace
 
@@ -19,7 +21,13 @@ from taitstates.diagram import (
     segment_self_touch,
     tait,
 )
-from taitstates.sgraph import SignedMap, faces, face_of_half, graphs_isomorphic
+from taitstates.sgraph import (
+    SignedMap,
+    face_of_half,
+    faces,
+    graphs_isomorphic,
+    label_sort_key,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -514,3 +522,60 @@ def crossing_change(d: LinkDiagram, ci: int) -> LinkDiagram:
     a, b, c, dd = cr[ci]
     cr[ci] = (b, c, dd, a)
     return LinkDiagram(tuple(cr), d.outer_arc, d.swap_colors)
+
+
+# ---------------------------------------------------------------------------
+# reference renderers: the reports as the per-state label sets print them
+# ---------------------------------------------------------------------------
+
+
+def reference_doc(report) -> dict:
+    """The JSON document of a report, built from each record's ``state`` and
+    ``edge_subset``; ``report_to_json`` must print ``json.dumps`` of it with
+    ``indent=2``."""
+    return {
+        "states": [
+            {
+                "state": {str(k): v for k, v in rec.state.items},
+                "edge_subset": [str(x) for x in sorted(rec.edge_subset, key=label_sort_key)],
+                "poly_coeffs": rec.poly.t_coeffs(),
+                **({"homogeneous": rec.homogeneous} if rec.homogeneous is not None else {}),
+            }
+            for rec in report.states
+        ],
+        "count": report.count,
+        "state_sum_coeffs": report.state_sum.t_coeffs(),
+        "diagonal_coeffs": report.diagonal.t_coeffs(),
+        "spanning_trees": report.tree_count,
+        "verified": report.verified,
+    }
+
+
+def reference_csv(report) -> str:
+    """``report_to_csv`` from each record's ``state`` and ``edge_subset``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    has_flags = any(rec.homogeneous is not None for rec in report.states)
+    writer.writerow(["state", "edge_subset", "polynomial"] + ["homogeneous"] * has_flags)
+    for rec in report.states:
+        row = [str(rec.state),
+               ";".join(str(x) for x in sorted(rec.edge_subset, key=label_sort_key)),
+               rec.poly.render_t()]
+        if has_flags:
+            row.append("" if rec.homogeneous is None else str(rec.homogeneous).lower())
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def reference_table(report) -> str:
+    """``report_to_table`` from each record's ``state`` and ``edge_subset``."""
+    lines = []
+    for rec in report.states:
+        edges = ",".join(str(x) for x in sorted(rec.edge_subset, key=label_sort_key))
+        flag = "  homogeneous" if rec.homogeneous else ""
+        lines.append(f"state {rec.state}  edges [{edges}]  poly {rec.poly.render_t()}{flag}\n")
+    lines.append(f"count: {report.count}\n")
+    lines.append(f"diagonal: {report.diagonal.render_t()}\n")
+    lines.append(f"spanning trees: {report.tree_count}\n")
+    lines.append(f"verified: {str(report.verified).lower()}\n")
+    return "".join(lines)

@@ -3,6 +3,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taitstates.adequacy import (
     _spanning_trees,
@@ -15,12 +16,20 @@ from taitstates.adequacy import (
     homogeneous_adequate,
     report_to_csv,
     report_to_json,
+    report_to_table,
     state_from_partition,
     VerificationError,
 )
 from taitstates.bipoly import BiPoly
 from taitstates.diagram import LinkDiagram, State, checkerboard, classify, parse_pd, tait
-from taitstates.sgraph import DisconnectedError, SignedMap, flip_signs, planar_dual
+from taitstates.sgraph import (
+    DisconnectedError,
+    Edge,
+    SignedMap,
+    flip_signs,
+    label_sort_key,
+    planar_dual,
+)
 from taitstates.tutte import X_ZERO, CapExceededError, TutteEngine
 
 from helpers import (
@@ -34,6 +43,9 @@ from helpers import (
     random_bridgeless_map,
     random_diagram,
     random_planar_map,
+    reference_csv,
+    reference_doc,
+    reference_table,
     torus2n_diagram,
 )
 
@@ -437,6 +449,53 @@ class TestSerialization:
         lines = report_to_csv(rep).strip().splitlines()
         assert lines[0].endswith(",homogeneous")
         assert all(line.endswith("true") for line in lines[1:])
+
+
+# labels that JSON must escape: quotes, backslashes, control characters,
+# non-ASCII text, astral and lone-surrogate code points; mixed with ints
+label_text = st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t ae\u00e9\u2028\u65e5\U0001f600\ud800')
+                     | st.characters(), max_size=4)
+labels = st.integers(-10**20, 10**20) | label_text
+
+
+def relabeled(g: SignedMap, new_labels: list) -> SignedMap:
+    return SignedMap(g.vertices, [Edge(e.half_a, e.half_b, e.sign, lab)
+                                  for e, lab in zip(g.edges, new_labels)])
+
+
+def assert_renders_as_reference(g: SignedMap, rep) -> None:
+    assert report_to_json(rep) == json.dumps(reference_doc(rep), indent=2)
+    assert report_to_csv(rep) == reference_csv(rep)
+    assert report_to_table(rep) == reference_table(rep)
+    # the records come in the order of (size, sorted label keys), and each
+    # lazy state is the state of its subset
+    order = [(len(r.edge_subset), sorted(map(label_sort_key, r.edge_subset)))
+             for r in rep.states]
+    assert order == sorted(order)
+    for rec in rep.states:
+        assert rec.state == state_from_partition(g, rec.edge_subset)
+
+
+class TestRenderingAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), m=st.integers(2, 9), data=st.data())
+    def test_random_labels(self, seed, m, data):
+        g = random_bridgeless_map(m, random.Random(seed))
+        g = relabeled(g, data.draw(st.lists(labels, min_size=m, max_size=m, unique_by=str)))
+        for rep in (enumerate_adequate(g), enumerate_adequate(g, with_homogeneous=True),
+                    enumerate_homogeneous(g)):
+            assert_renders_as_reference(g, rep)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_homogeneous_report_without_states(self, data):
+        _, g, _ = fixture_graph()
+        g = relabeled(g, data.draw(st.lists(labels, min_size=g.n_edges,
+                                            max_size=g.n_edges, unique_by=str)))
+        rep = enumerate_homogeneous(g)
+        assert rep.count == 0
+        assert '"states": [],' in report_to_json(rep)
+        assert_renders_as_reference(g, rep)
 
 
 class TestBundledKnot:

@@ -240,10 +240,17 @@ class TestMalformedInput:
         {"crossings": [[1.0, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]},
         {"crossings": [[1, 4, 2, 5], "3641", [5, 2, 6, 3]]},
         {"crossings": 5},
+        # labels 1 and "1" would print as one: a "state" object one key
+        # short and a table row "edges [1,1,e]"
+        {"vertices": [[0, 2, 5], [1, 4, 3]],
+         "edges": [dict(GRAPH_EDGE, halves=[0, 1], label=1),
+                   dict(GRAPH_EDGE, halves=[2, 3], sign="-", label="1"),
+                   dict(GRAPH_EDGE, halves=[4, 5], label="e")]},
     ], ids=["vertices-not-a-list", "label-is-a-list", "top-level-number",
             "outer-arc-is-a-list", "sign-not-plus-or-minus", "arc-is-infinite",
             "arc-is-a-fraction", "arc-is-a-numeric-string", "arc-is-a-bool",
-            "arc-is-an-integral-float", "crossing-is-a-string", "crossings-not-a-list"])
+            "arc-is-an-integral-float", "crossing-is-a-string", "crossings-not-a-list",
+            "labels-print-alike"])
     def test_exit_2_with_one_error_line(self, capsys, tmp_path, doc):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -25,6 +26,15 @@ from taitstates.sgraph import (
 from helpers import cycle_graph, double_edge_path, random_planar_map
 
 
+# a theta graph whose labels 1 and "1" both print as 1
+LABELS_PRINT_ALIKE = {
+    "vertices": [[0, 2, 5], [1, 4, 3]],
+    "edges": [{"halves": [0, 1], "sign": "+", "label": 1},
+              {"halves": [2, 3], "sign": "-", "label": "1"},
+              {"halves": [4, 5], "sign": "+", "label": "e"}],
+}
+
+
 def single_loop():
     return SignedMap([(0, 1)], [(0, 1, +1, "l")])
 
@@ -49,6 +59,14 @@ class TestConstruction:
     def test_duplicate_label(self):
         with pytest.raises(ValueError):
             SignedMap([(0, 1, 2, 3)], [(0, 1, +1, "a"), (2, 3, +1, "a")])
+
+    def test_labels_that_print_alike(self):
+        # reports print labels with str(), so 1 and "1" would merge there
+        with pytest.raises(ValueError, match="both print as '1'"):
+            SignedMap([(0, 2, 5), (1, 4, 3)],
+                      [(0, 1, +1, 1), (2, 3, -1, "1"), (4, 5, +1, "e")])
+        with pytest.raises(ValueError, match="both print as '1'"):
+            from_json(json.dumps(LABELS_PRINT_ALIKE))
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):
