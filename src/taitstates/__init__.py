@@ -15,26 +15,18 @@ from .sgraph import (
     Edge,
     SignedMap,
     UnknownEdgeError,
-    blocks,
     classify_edges,
     components,
     contract,
-    cycle_membership,
-    delete,
     faces,
     flip_signs,
-    graphs_isomorphic,
     planar_dual,
     restrict,
 )
 from .tutte import (
     CapExceededError,
     TutteEngine,
-    dual_symmetry_check,
-    kook_sum,
-    spanning_tree_count,
     tutte,
-    tutte_oracle,
 )
 from .diagram import (
     ColoringError,
@@ -60,7 +52,6 @@ from .adequacy import (
     ab_adequacy,
     adequacy_polynomial,
     adequate_by_partition,
-    diagram_report,
     enumerate_adequate,
     enumerate_homogeneous,
     homogeneous_adequate,
@@ -96,21 +87,13 @@ __all__ = [
     "state_circles",
     "segment_self_touch",
     "restrict",
-    "delete",
     "contract",
     "components",
     "classify_edges",
-    "blocks",
     "faces",
     "planar_dual",
-    "cycle_membership",
     "flip_signs",
-    "graphs_isomorphic",
     "tutte",
-    "tutte_oracle",
-    "kook_sum",
-    "dual_symmetry_check",
-    "spanning_tree_count",
     "adequate_by_partition",
     "adequacy_polynomial",
     "state_from_partition",
@@ -118,5 +101,4 @@ __all__ = [
     "enumerate_homogeneous",
     "ab_adequacy",
     "homogeneous_adequate",
-    "diagram_report",
 ]

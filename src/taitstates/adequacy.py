@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 from ._scan import cyclic_flat_masks
 from .bipoly import BiPoly
-from .diagram import LinkDiagram, State, VerificationError, classify, tait
+from .diagram import LinkDiagram, State, VerificationError, classify
 from .sgraph import (
     DisconnectedError,
     SignedMap,
@@ -53,7 +53,6 @@ __all__ = [
     "enumerate_homogeneous",
     "ab_adequacy",
     "homogeneous_adequate",
-    "diagram_report",
     "report_to_json",
     "report_to_csv",
     "report_to_table",
@@ -447,24 +446,6 @@ def _homogeneous(signed_sides: tuple[int, list], mask: int) -> bool:
         if signs.setdefault(key, sign) != sign:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# diagram-level driver
-# ---------------------------------------------------------------------------
-
-
-def diagram_report(
-    d: LinkDiagram,
-    engine: TutteEngine | None = None,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    with_homogeneous: bool = False,
-) -> AdequacyReport:
-    """Enumerate a colored diagram's adequate states on its Tait graph.
-
-    Either coloring gives the same states and the same homogeneity flags.
-    """
-    return enumerate_adequate(tait(d)[0], engine, max_edges, with_homogeneous)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class BiPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
     def x(cls) -> "BiPoly":
         return cls({(1, 0): 1})
 
@@ -69,9 +65,6 @@ class BiPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coeff(self, i: int, j: int = 0) -> int:
-        return self._terms.get((i, j), 0)
 
     def terms(self) -> Iterator[tuple[tuple[int, int], int]]:
         return iter(sorted(self._terms.items()))
@@ -134,13 +127,6 @@ class BiPoly:
                     out.pop(key, None)
         res = BiPoly.__new__(BiPoly)
         res._terms = out
-        return res
-
-    def scale(self, c: int) -> "BiPoly":
-        if c == 0:
-            return BiPoly.zero()
-        res = BiPoly.__new__(BiPoly)
-        res._terms = {k: c * v for k, v in self._terms.items()}
         return res
 
     def __pow__(self, n: int) -> "BiPoly":
@@ -239,10 +225,6 @@ class BiPoly:
         if not self.is_univariate():
             raise ValueError("polynomial is not univariate")
         return self.render(xname=name)
-
-    def to_json_terms(self) -> list[list]:
-        """Terms as ``[i, j, coefficient-as-decimal-string]`` triples."""
-        return [[i, j, str(c)] for (i, j), c in self._sorted_terms()]
 
     def __repr__(self) -> str:
         return f"BiPoly({self.render()})"

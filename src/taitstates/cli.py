@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification/check failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -150,7 +151,10 @@ def cmd_check(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each ``parse_args`` call
+    returns a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="taitstates",
         description="Tait graphs, Tutte polynomials, and adequate states of link diagrams",
@@ -160,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("input", help="input file, or - for stdin")
         sp.add_argument("--format", choices=["pd", "json"], default="pd")
-        sp.add_argument("--coloring", choices=["canonical", "swapped"], default="canonical")
+        sp.add_argument("--coloring", choices=["canonical", "swapped"], default="canonical",
+                        help="the checkerboard coloring to use; a diagram file's "
+                             "'coloring' key is only validated")
         sp.add_argument("--mirror", action="store_true", help="mirror the diagram first")
 
     sp = sub.add_parser("tutte", help="Tutte polynomial of the Tait graph")

@@ -113,10 +113,6 @@ class LinkDiagram:
     def arcs(self) -> list[int]:
         return sorted({a for cr in self.crossings for a in cr})
 
-    @classmethod
-    def unknot(cls) -> "LinkDiagram":
-        return cls(crossings=())
-
 
 @dataclass(frozen=True)
 class State:
@@ -135,9 +131,6 @@ class State:
     def uniform(cls, keys: Iterable, res: str) -> "State":
         return cls.from_dict({k: res for k in keys})
 
-    def as_dict(self) -> dict:
-        return dict(self.items)
-
     def resolution(self, key) -> str:
         for k, v in self.items:
             if k == key:
@@ -147,9 +140,6 @@ class State:
     def dual(self) -> "State":
         flip = {"A": "B", "B": "A"}
         return State(tuple((k, flip[v]) for k, v in self.items))
-
-    def keys(self) -> list:
-        return [k for k, _ in self.items]
 
     def __str__(self) -> str:
         return "".join(v for _, v in self.items)
@@ -214,15 +204,6 @@ def load_diagram_json(text: str) -> LinkDiagram:
     if "coloring" in doc:
         d = checkerboard(d, doc["coloring"])
     return d
-
-
-def diagram_to_json(d: LinkDiagram) -> str:
-    doc: dict = {"crossings": [list(cr) for cr in d.crossings]}
-    if d.outer_arc is not None:
-        doc["outer_arc"] = d.outer_arc
-    if d.swap_colors is not None:
-        doc["coloring"] = "swapped" if d.swap_colors else "canonical"
-    return json.dumps(doc, indent=2)
 
 
 def _validate(d: LinkDiagram) -> None:
@@ -458,8 +439,7 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
 
 def is_reduced(d: LinkDiagram) -> bool:
     """True iff no crossing meets a region twice (no nugatory crossings)."""
-    _, _, corner_face = _region_data(d)
-    nugatory = [ci for ci in range(d.n_crossings) if len(set(corner_face[ci])) < 4]
+    nugatory = nugatory_crossings(d)
     if d.swap_colors is not None:
         g, _ = tait(d)
         bridges, loops = classify_edges(g)

@@ -4,7 +4,7 @@ A ``SignedMap`` stores, for every vertex, the cyclic order of half-edge
 identifiers around it, and for every edge the pair of half-edges it joins
 plus a sign and a stable label.  Faces are recovered by rotation-and-pair
 face tracing, so planar structure needs no coordinates.  Labels survive
-restriction, deletion and contraction, which keeps the crossing-to-edge
+restriction and contraction, which keeps the crossing-to-edge
 correspondence of a Tait graph intact through graph surgery.
 
 Maps are immutable values: every operation returns a new map.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 __all__ = [
     "Edge",
@@ -22,22 +22,17 @@ __all__ = [
     "UnknownEdgeError",
     "DisconnectedError",
     "restrict",
-    "delete",
     "contract",
     "components",
     "is_connected",
     "classify_edges",
-    "blocks",
     "edge_blocks",
     "faces",
     "face_of_half",
     "euler_genus_ok",
     "planar_dual",
-    "cycle_membership",
     "flip_signs",
-    "graphs_isomorphic",
     "label_sort_key",
-    "to_json",
     "from_json",
 ]
 
@@ -198,7 +193,7 @@ class SignedMap:
 
 
 # ---------------------------------------------------------------------------
-# surgery: restrict / delete / contract
+# surgery: restrict / contract
 # ---------------------------------------------------------------------------
 
 
@@ -214,11 +209,6 @@ def restrict(g: SignedMap, keep: Iterable[Label]) -> SignedMap:
             kept_halves.add(e.half_b)
     new_vertices = [tuple(h for h in rot if h in kept_halves) for rot in g.vertices]
     return SignedMap(new_vertices, new_edges)
-
-
-def delete(g: SignedMap, drop: Iterable[Label]) -> SignedMap:
-    drop = g.check_edge_set(drop)
-    return restrict(g, g.labels() - drop)
 
 
 def contract(g: SignedMap, labels: Iterable[Label]) -> SignedMap:
@@ -381,29 +371,6 @@ def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
     return g._classified
 
 
-def cycle_membership(g: SignedMap) -> dict[Label, bool]:
-    """edge -> True iff the edge lies on some cycle (equivalently: not a bridge)."""
-    bridges, _ = classify_edges(g)
-    return {e.label: e.label not in bridges for e in g.edges}
-
-
-def blocks(g: SignedMap) -> tuple[SignedMap, ...]:
-    """Block decomposition: loops, bridges, 2-connected pieces, isolated vertices."""
-    ends = _ends(g)
-    out: list[SignedMap] = []
-    used_vertices: set[int] = set()
-    for blk in edge_blocks(g.n_vertices, ends):
-        sub = restrict(g, {ends[i][2] for i in blk})
-        keep_v = {w for i in blk for w in ends[i][:2]}
-        used_vertices |= keep_v
-        out.append(SignedMap([sub.vertices[v] for v in sorted(keep_v)],
-                             [g.edges[i] for i in blk]))
-    for v in range(g.n_vertices):
-        if v not in used_vertices:
-            out.append(SignedMap([()], []))  # isolated vertex block
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # faces and duality
 # ---------------------------------------------------------------------------
@@ -472,96 +439,8 @@ def flip_signs(g: SignedMap) -> SignedMap:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (desk scale, brute force with degree refinement)
-# ---------------------------------------------------------------------------
-
-
-def _graph_profile(g: SignedMap, respect_signs: bool):
-    n = g.n_vertices
-    pairs: dict[tuple[int, int, int], int] = {}
-    loops: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        u = g.vertex_of_half(e.half_a)
-        v = g.vertex_of_half(e.half_b)
-        s = e.sign if respect_signs else 0
-        if u == v:
-            loops[(u, s)] = loops.get((u, s), 0) + 1
-        else:
-            key = (min(u, v), max(u, v), s)
-            pairs[key] = pairs.get(key, 0) + 1
-    return n, pairs, loops
-
-
-def graphs_isomorphic(g1: SignedMap, g2: SignedMap, respect_signs: bool = False) -> bool:
-    """Abstract multigraph isomorphism by brute force (desk scale only)."""
-    n1, pairs1, loops1 = _graph_profile(g1, respect_signs)
-    n2, pairs2, loops2 = _graph_profile(g2, respect_signs)
-    if n1 != n2 or g1.n_edges != g2.n_edges:
-        return False
-
-    def degree_sig(n, pairs, loops):
-        deg = [0] * n
-        for (u, v, _s), m in pairs.items():
-            deg[u] += m
-            deg[v] += m
-        for (u, _s), m in loops.items():
-            deg[u] += 2 * m
-        return deg
-
-    deg1 = degree_sig(n1, pairs1, loops1)
-    deg2 = degree_sig(n2, pairs2, loops2)
-    if sorted(deg1) != sorted(deg2):
-        return False
-    if n1 > 12:
-        raise ValueError("isomorphism test capped at 12 vertices")
-
-    # group candidate images by degree to cut the permutation space
-    order = sorted(range(n1), key=lambda v: deg1[v])
-    buckets: dict[int, list[int]] = {}
-    for v in range(n2):
-        buckets.setdefault(deg2[v], []).append(v)
-
-    def backtrack(i: int, mapping: dict[int, int], used: set[int]) -> bool:
-        if i == len(order):
-            mapped_pairs: dict[tuple[int, int, int], int] = {}
-            for (u, v, s), m in pairs1.items():
-                a, b = mapping[u], mapping[v]
-                mapped_pairs[(min(a, b), max(a, b), s)] = mapped_pairs.get((min(a, b), max(a, b), s), 0) + m
-            if mapped_pairs != pairs2:
-                return False
-            mapped_loops: dict[tuple[int, int], int] = {}
-            for (u, s), m in loops1.items():
-                mapped_loops[(mapping[u], s)] = mapped_loops.get((mapping[u], s), 0) + m
-            return mapped_loops == loops2
-        v = order[i]
-        for w in buckets.get(deg1[v], []):
-            if w in used:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(i + 1, mapping, used):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return backtrack(0, {}, set())
-
-
-# ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
-
-
-def to_json(g: SignedMap) -> str:
-    doc: dict[str, Any] = {
-        "vertices": [list(rot) for rot in g.vertices],
-        "edges": [
-            {"halves": [e.half_a, e.half_b], "sign": "+" if e.sign > 0 else "-", "label": e.label}
-            for e in g.edges
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 def _is_int(x) -> bool:

@@ -36,7 +36,6 @@ abstract multigraph.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from .bipoly import BiPoly
@@ -45,16 +44,12 @@ from .sgraph import SignedMap, edge_blocks, label_sort_key
 __all__ = [
     "TutteEngine",
     "tutte",
-    "tutte_oracle",
-    "kook_sum",
-    "dual_symmetry_check",
-    "spanning_tree_count",
     "CapExceededError",
 ]
 
 
 class CapExceededError(ValueError):
-    """Brute-force operation asked to run past its edge cap."""
+    """An enumeration, or a brute-force oracle, asked to run past its edge cap."""
 
 
 # internal multigraph: vertex count + tuple of (u, v) edges in label order
@@ -222,80 +217,3 @@ class TutteEngine:
 def tutte(g: SignedMap, engine: TutteEngine | None = None) -> BiPoly:
     """Tutte polynomial of the underlying multigraph of ``g``."""
     return (engine or TutteEngine()).tutte(g)
-
-
-def tutte_oracle(g: SignedMap, cap: int = 14) -> BiPoly:
-    """Independent check: Whitney rank-nullity expansion over all edge subsets."""
-    m = g.n_edges
-    if m > cap:
-        raise CapExceededError(f"oracle capped at {cap} edges, got {m}")
-    n, edges = _mgraph_of(g)
-
-    def rank_of(subset: tuple[int, ...]) -> int:
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        k = n
-        for i in subset:
-            u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-                k -= 1
-        return n - k
-
-    xm1 = BiPoly.x() - BiPoly.one()
-    ym1 = BiPoly.y() - BiPoly.one()
-    xpow = [BiPoly.one()]
-    ypow = [BiPoly.one()]
-    for _ in range(m + 1):
-        xpow.append(xpow[-1] * xm1)
-        ypow.append(ypow[-1] * ym1)
-
-    r_full = rank_of(tuple(range(m)))
-    total = BiPoly.zero()
-    for size in range(m + 1):
-        for subset in combinations(range(m), size):
-            r = rank_of(subset)
-            total = total + xpow[r_full - r] * ypow[size - r]
-    return total
-
-
-def kook_sum(g: SignedMap, engine: TutteEngine | None = None, cap: int = 14) -> BiPoly:
-    """Subset convolution for the diagonal: sum over all H of
-    (restriction polynomial at x=0) times (contraction polynomial at y=0).
-
-    Must agree with the x=y specialization of the Tutte polynomial.
-    """
-    from .sgraph import restrict, contract  # local import to avoid cycles
-
-    m = g.n_edges
-    if m > cap:
-        raise CapExceededError(f"subset sum capped at {cap} edges, got {m}")
-    eng = engine or TutteEngine()
-    labels = g.sorted_labels()
-    total = BiPoly.zero()
-    for mask in range(1 << m):
-        subset = frozenset(labels[i] for i in range(m) if mask >> i & 1)
-        left = eng.tutte(restrict(g, subset)).specialize("x_to_zero")
-        right = eng.tutte(contract(g, subset)).specialize("y_to_zero")
-        total = total + left * right
-    return total
-
-
-def dual_symmetry_check(g: SignedMap, engine: TutteEngine | None = None) -> bool:
-    """True iff the dual's polynomial equals the original with x and y swapped."""
-    from .sgraph import planar_dual
-
-    eng = engine or TutteEngine()
-    return eng.tutte(planar_dual(g)) == eng.tutte(g).swap_vars()
-
-
-def spanning_tree_count(g: SignedMap, engine: TutteEngine | None = None) -> int:
-    """Number of spanning trees (forests of maximal rank for disconnected input)."""
-    return tutte(g, engine).eval(1, 1)

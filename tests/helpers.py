@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 from dataclasses import replace
+from itertools import combinations
+from typing import Any
 
+from taitstates.bipoly import BiPoly
 from taitstates.diagram import (
     LinkDiagram,
     State,
@@ -23,11 +27,14 @@ from taitstates.diagram import (
 )
 from taitstates.sgraph import (
     SignedMap,
+    contract,
     face_of_half,
     faces,
-    graphs_isomorphic,
     label_sort_key,
+    planar_dual,
+    restrict,
 )
+from taitstates.tutte import CapExceededError, TutteEngine, _mgraph_of
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +366,6 @@ def random_diagram(n_crossings: int, rng: random.Random, reduced_only: bool = Fa
 
 def brute_spanning_tree_count(g: SignedMap) -> int:
     """Count spanning trees by exhausting edge subsets of size v-1."""
-    from itertools import combinations
-
     n = g.n_vertices
     labels = [e.label for e in g.edges if not g.is_loop(e.label)]
     ends = {lab: g.endpoints(lab) for lab in labels}
@@ -387,6 +392,146 @@ def brute_spanning_tree_count(g: SignedMap) -> int:
         if ok:
             count += 1
     return count
+
+
+def tutte_oracle(g: SignedMap, cap: int = 14) -> BiPoly:
+    """Independent check: Whitney rank-nullity expansion over all edge subsets."""
+    m = g.n_edges
+    if m > cap:
+        raise CapExceededError(f"oracle capped at {cap} edges, got {m}")
+    n, edges = _mgraph_of(g)
+
+    def rank_of(subset: tuple[int, ...]) -> int:
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        k = n
+        for i in subset:
+            u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[rv] = ru
+                k -= 1
+        return n - k
+
+    xm1 = BiPoly.x() - BiPoly.one()
+    ym1 = BiPoly.y() - BiPoly.one()
+    xpow = [BiPoly.one()]
+    ypow = [BiPoly.one()]
+    for _ in range(m + 1):
+        xpow.append(xpow[-1] * xm1)
+        ypow.append(ypow[-1] * ym1)
+
+    r_full = rank_of(tuple(range(m)))
+    total = BiPoly.zero()
+    for size in range(m + 1):
+        for subset in combinations(range(m), size):
+            r = rank_of(subset)
+            total = total + xpow[r_full - r] * ypow[size - r]
+    return total
+
+
+def kook_sum(g: SignedMap, engine: TutteEngine | None = None, cap: int = 14) -> BiPoly:
+    """Subset convolution for the diagonal: sum over all H of
+    (restriction polynomial at x=0) times (contraction polynomial at y=0).
+
+    Must agree with the x=y specialization of the Tutte polynomial.
+    """
+    m = g.n_edges
+    if m > cap:
+        raise CapExceededError(f"subset sum capped at {cap} edges, got {m}")
+    eng = engine or TutteEngine()
+    labels = g.sorted_labels()
+    total = BiPoly.zero()
+    for mask in range(1 << m):
+        subset = frozenset(labels[i] for i in range(m) if mask >> i & 1)
+        left = eng.tutte(restrict(g, subset)).specialize("x_to_zero")
+        right = eng.tutte(contract(g, subset)).specialize("y_to_zero")
+        total = total + left * right
+    return total
+
+
+def dual_symmetry_check(g: SignedMap, engine: TutteEngine | None = None) -> bool:
+    """True iff the dual's polynomial equals the original with x and y swapped."""
+    eng = engine or TutteEngine()
+    return eng.tutte(planar_dual(g)) == eng.tutte(g).swap_vars()
+
+
+def _graph_profile(g: SignedMap, respect_signs: bool):
+    n = g.n_vertices
+    pairs: dict[tuple[int, int, int], int] = {}
+    loops: dict[tuple[int, int], int] = {}
+    for e in g.edges:
+        u = g.vertex_of_half(e.half_a)
+        v = g.vertex_of_half(e.half_b)
+        s = e.sign if respect_signs else 0
+        if u == v:
+            loops[(u, s)] = loops.get((u, s), 0) + 1
+        else:
+            key = (min(u, v), max(u, v), s)
+            pairs[key] = pairs.get(key, 0) + 1
+    return n, pairs, loops
+
+
+def graphs_isomorphic(g1: SignedMap, g2: SignedMap, respect_signs: bool = False) -> bool:
+    """Abstract multigraph isomorphism by brute force (desk scale only)."""
+    n1, pairs1, loops1 = _graph_profile(g1, respect_signs)
+    n2, pairs2, loops2 = _graph_profile(g2, respect_signs)
+    if n1 != n2 or g1.n_edges != g2.n_edges:
+        return False
+
+    def degree_sig(n, pairs, loops):
+        deg = [0] * n
+        for (u, v, _s), m in pairs.items():
+            deg[u] += m
+            deg[v] += m
+        for (u, _s), m in loops.items():
+            deg[u] += 2 * m
+        return deg
+
+    deg1 = degree_sig(n1, pairs1, loops1)
+    deg2 = degree_sig(n2, pairs2, loops2)
+    if sorted(deg1) != sorted(deg2):
+        return False
+    if n1 > 12:
+        raise ValueError("isomorphism test capped at 12 vertices")
+
+    # group candidate images by degree to cut the permutation space
+    order = sorted(range(n1), key=lambda v: deg1[v])
+    buckets: dict[int, list[int]] = {}
+    for v in range(n2):
+        buckets.setdefault(deg2[v], []).append(v)
+
+    def backtrack(i: int, mapping: dict[int, int], used: set[int]) -> bool:
+        if i == len(order):
+            mapped_pairs: dict[tuple[int, int, int], int] = {}
+            for (u, v, s), m in pairs1.items():
+                a, b = mapping[u], mapping[v]
+                mapped_pairs[(min(a, b), max(a, b), s)] = mapped_pairs.get((min(a, b), max(a, b), s), 0) + m
+            if mapped_pairs != pairs2:
+                return False
+            mapped_loops: dict[tuple[int, int], int] = {}
+            for (u, s), m in loops1.items():
+                mapped_loops[(mapping[u], s)] = mapped_loops.get((mapping[u], s), 0) + m
+            return mapped_loops == loops2
+        v = order[i]
+        for w in buckets.get(deg1[v], []):
+            if w in used:
+                continue
+            mapping[v] = w
+            used.add(w)
+            if backtrack(i + 1, mapping, used):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    return backtrack(0, {}, set())
 
 
 def brute_adequate_masks(g: SignedMap) -> list[int]:
@@ -579,3 +724,28 @@ def reference_table(report) -> str:
     lines.append(f"spanning trees: {report.tree_count}\n")
     lines.append(f"verified: {str(report.verified).lower()}\n")
     return "".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# writers: graph and diagram JSON, the inputs the package reads
+# ---------------------------------------------------------------------------
+
+
+def to_json(g: SignedMap) -> str:
+    doc: dict[str, Any] = {
+        "vertices": [list(rot) for rot in g.vertices],
+        "edges": [
+            {"halves": [e.half_a, e.half_b], "sign": "+" if e.sign > 0 else "-", "label": e.label}
+            for e in g.edges
+        ],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def diagram_to_json(d: LinkDiagram) -> str:
+    doc: dict = {"crossings": [list(cr) for cr in d.crossings]}
+    if d.outer_arc is not None:
+        doc["outer_arc"] = d.outer_arc
+    if d.swap_colors is not None:
+        doc["coloring"] = "swapped" if d.swap_colors else "canonical"
+    return json.dumps(doc, indent=2)

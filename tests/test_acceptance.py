@@ -12,7 +12,6 @@ import time
 from taitstates.adequacy import (
     adequacy_polynomial,
     adequate_by_partition,
-    diagram_report,
     enumerate_adequate,
 )
 from taitstates.bipoly import BiPoly
@@ -35,14 +34,7 @@ from taitstates.sgraph import (
     planar_dual,
     restrict,
 )
-from taitstates.tutte import (
-    TutteEngine,
-    dual_symmetry_check,
-    kook_sum,
-    spanning_tree_count,
-    tutte,
-    tutte_oracle,
-)
+from taitstates.tutte import TutteEngine, tutte
 
 from helpers import (
     adequacy_oracle,
@@ -50,10 +42,14 @@ from helpers import (
     brute_spanning_tree_count,
     crossing_change,
     cycle_graph,
+    dual_symmetry_check,
+    graphs_isomorphic,
     hopf_sum_diagram,
+    kook_sum,
     random_diagram,
     random_planar_map,
     torus2n_diagram,
+    tutte_oracle,
 )
 
 HERE = os.path.dirname(__file__)
@@ -96,7 +92,7 @@ class TestCriterion1Knot11n95:
         with open(FIXTURE) as fh:
             d = load_diagram_json(fh.read())
         t0 = time.perf_counter()
-        report = diagram_report(d, with_homogeneous=True)
+        report = enumerate_adequate(tait(d)[0], with_homogeneous=True)
         elapsed = time.perf_counter() - t0
 
         diag = report.diagonal
@@ -226,7 +222,7 @@ class TestCriterion6TutteValidation:
         eng = TutteEngine()
         for i, g in enumerate(planar_corpus):
             assert dual_symmetry_check(g, eng), i
-            assert spanning_tree_count(g, eng) == brute_spanning_tree_count(g), i
+            assert tutte(g, eng).eval(1, 1) == brute_spanning_tree_count(g), i
         print("\n[criterion 6] PASS: engine == subset-expansion oracle on 200 random "
               "multigraphs; cycle formula n=2..12; dual symmetry and spanning-tree "
               "counts on 60 planar maps")
@@ -272,8 +268,6 @@ class TestCriterion8Symmetry:
             g_can, _ = tait(d)
             d_sw = checkerboard(LinkDiagram(d.crossings, d.outer_arc), "swapped")
             g_sw, _ = tait(d_sw)
-            from taitstates.sgraph import graphs_isomorphic
-
             assert graphs_isomorphic(g_sw, flip_signs(planar_dual(g_can)),
                                      respect_signs=True)
             eng = TutteEngine()
@@ -286,10 +280,10 @@ class TestCriterion8Symmetry:
 
         for n in range(2, 7):
             d = torus2n_diagram(n)
-            report = diagram_report(d, with_homogeneous=True)
+            report = enumerate_adequate(tait(d)[0], with_homogeneous=True)
             assert all(rec.homogeneous for rec in report.states), n
         d8 = checkerboard(parse_fig8())
-        report = diagram_report(d8, with_homogeneous=True)
+        report = enumerate_adequate(tait(d8)[0], with_homogeneous=True)
         assert all(rec.homogeneous for rec in report.states)
         print("\n[criterion 8] PASS: mirroring flips signs and swaps A/B adequacy; "
               "recoloring dualizes and preserves the diagonal and the count; "

@@ -10,7 +10,6 @@ from taitstates.adequacy import (
     ab_adequacy,
     adequacy_polynomial,
     adequate_by_partition,
-    diagram_report,
     enumerate_adequate,
     enumerate_homogeneous,
     homogeneous_adequate,
@@ -39,6 +38,8 @@ from helpers import (
     brute_spanning_tree_count,
     cycle_graph,
     double_edge_path,
+    dual_symmetry_check,
+    graphs_isomorphic,
     homogeneity_oracle,
     random_bridgeless_map,
     random_diagram,
@@ -47,6 +48,7 @@ from helpers import (
     reference_doc,
     reference_table,
     torus2n_diagram,
+    tutte_oracle,
 )
 
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -124,7 +126,7 @@ class TestPolynomial:
         # per-state minors built at index level against SignedMap surgery
         # and the subset-expansion oracle, on every subset of small maps
         from taitstates.sgraph import contract, is_connected, restrict
-        from taitstates.tutte import _mgraph_of, tutte_oracle
+        from taitstates.tutte import _mgraph_of
 
         rng = random.Random(83)
         eng = TutteEngine()
@@ -415,8 +417,8 @@ class TestDiagramReport:
         for _ in range(20):
             d = random_diagram(rng.randint(3, 6), rng, reduced_only=True)
             d_sw = checkerboard(LinkDiagram(d.crossings, d.outer_arc), "swapped")
-            a = diagram_report(d, with_homogeneous=True)
-            b = diagram_report(d_sw, with_homogeneous=True)
+            a = enumerate_adequate(tait(d)[0], with_homogeneous=True)
+            b = enumerate_adequate(tait(d_sw)[0], with_homogeneous=True)
             flags_a = {rec.state: rec.homogeneous for rec in a.states}
             flags_b = {rec.state: rec.homogeneous for rec in b.states}
             assert flags_a == flags_b
@@ -510,9 +512,6 @@ class TestBundledKnot:
         assert len(faces(g)) == 6  # five bounded regions plus the outer one
 
     def test_dual_involution_and_symmetry(self):
-        from taitstates.sgraph import graphs_isomorphic
-        from taitstates.tutte import dual_symmetry_check
-
         _, g, _ = fixture_graph()
         assert graphs_isomorphic(planar_dual(planar_dual(g)), g, respect_signs=True)
         assert dual_symmetry_check(g)

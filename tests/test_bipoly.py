@@ -122,10 +122,6 @@ class TestRendering:
         p = BiPoly.t_poly([0, 6, 33, 62, 48, 16, 2])
         assert p.render_t() == "2 t^6 + 16 t^5 + 48 t^4 + 62 t^3 + 33 t^2 + 6 t"
 
-    def test_json_terms(self):
-        p = BiPoly({(1, 0): 12345678901234567890, (0, 1): 1})
-        assert p.to_json_terms() == [[1, 0, "12345678901234567890"], [0, 1, "1"]]
-
     def test_t_coeffs(self):
         assert BiPoly.t_poly([0, 2, 1]).t_coeffs() == [0, 2, 1]
         with pytest.raises(ValueError):

@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import taitstates
 
-from taitstates.cli import main
-from taitstates.sgraph import to_json
+from taitstates.cli import build_parser, main
 
-from helpers import cycle_graph, diagram_for_graph, random_bridgeless_map
+from helpers import cycle_graph, diagram_for_graph, diagram_to_json, random_bridgeless_map, to_json
 from taitstates.adequacy import enumerate_adequate
-from taitstates.diagram import diagram_to_json, tait
+from taitstates.diagram import tait
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 HERE = os.path.dirname(__file__)
@@ -197,6 +196,16 @@ class TestAdequate:
         assert proc.returncode == 0, proc.stderr
         assert "count: 20" in proc.stdout
         assert "verified: true" in proc.stdout
+
+
+class TestParser:
+    def test_built_once_with_fresh_namespaces(self, capsys):
+        assert build_parser() is build_parser()
+        # a flag of one run does not carry over to the next
+        code, out, _ = run(capsys, "adequate", FIXTURE, "--format", "json", "--homogeneous")
+        assert code == 0 and "count: 0\n" in out
+        code, out, _ = run(capsys, "adequate", FIXTURE, "--format", "json")
+        assert code == 0 and "count: 20\n" in out
 
 
 class TestCheck:

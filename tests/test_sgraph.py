@@ -7,23 +7,19 @@ from taitstates.sgraph import (
     DisconnectedError,
     SignedMap,
     UnknownEdgeError,
-    blocks,
     classify_edges,
     components,
     contract,
-    cycle_membership,
-    delete,
+    edge_blocks,
     euler_genus_ok,
     faces,
     flip_signs,
     from_json,
-    graphs_isomorphic,
     planar_dual,
     restrict,
-    to_json,
 )
 
-from helpers import cycle_graph, double_edge_path, random_planar_map
+from helpers import cycle_graph, double_edge_path, graphs_isomorphic, random_planar_map, to_json
 
 
 # a theta graph whose labels 1 and "1" both print as 1
@@ -45,6 +41,12 @@ def single_bridge():
 
 def triangle():
     return cycle_graph(3)
+
+
+def blocks_of(g):
+    """``edge_blocks`` of a map, each block as the (vertices, edges) it spans."""
+    ends = [(g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b)) for e in g.edges]
+    return [({w for i in blk for w in ends[i]}, blk) for blk in edge_blocks(g.n_vertices, ends)]
 
 
 class TestConstruction:
@@ -99,18 +101,15 @@ class TestRestrictDeleteContract:
         with pytest.raises(UnknownEdgeError):
             contract(triangle(), {99})
 
-    def test_delete_nothing(self):
-        g = triangle()
-        assert delete(g, ()) == g
-
     def test_delete_one_of_double(self):
         g = cycle_graph(2)
-        d = delete(g, {0})
+        d = restrict(g, g.labels() - {0})
         bridges, loops = classify_edges(d)
         assert d.n_edges == 1 and bridges == {1}
 
     def test_delete_cycle_edge_gives_path(self):
-        d = delete(cycle_graph(5), {2})
+        g = cycle_graph(5)
+        d = restrict(g, g.labels() - {2})
         bridges, _ = classify_edges(d)
         assert len(bridges) == 4
 
@@ -129,13 +128,19 @@ class TestRestrictDeleteContract:
         assert graphs_isomorphic(contract(cycle_graph(n), {0}), cycle_graph(n - 1))
 
     def test_delete_is_restrict_of_complement(self):
+        # deleting h keeps every vertex, and each rotation loses only the
+        # half-edges of h
         rng = random.Random(3)
         for _ in range(25):
             g = random_planar_map(rng.randint(1, 10), rng)
             labels = list(g.labels())
             for _ in range(6):
                 h = frozenset(lab for lab in labels if rng.random() < 0.5)
-                assert delete(g, h) == restrict(g, g.labels() - h)
+                d = restrict(g, g.labels() - h)
+                assert d.labels() == g.labels() - h
+                dropped = {x for lab in h for x in (g.edge(lab).half_a, g.edge(lab).half_b)}
+                assert d.vertices == tuple(tuple(x for x in rot if x not in dropped)
+                                           for rot in g.vertices)
 
     def test_contract_order_independent(self):
         rng = random.Random(5)
@@ -165,7 +170,8 @@ class TestStructure:
         assert classify_edges(cycle_graph(5)) == (frozenset(), frozenset())
 
     def test_classify_path(self):
-        p = delete(cycle_graph(4), {0})
+        g = cycle_graph(4)
+        p = restrict(g, g.labels() - {0})
         bridges, loops = classify_edges(p)
         assert bridges == {1, 2, 3} and not loops
 
@@ -174,12 +180,13 @@ class TestStructure:
         assert not bridges and loops == {"l"}
 
     def test_cycle_membership(self):
-        assert all(cycle_membership(cycle_graph(4)).values())
-        assert cycle_membership(single_bridge()) == {"b": False}
-        assert cycle_membership(single_loop()) == {"l": True}
+        # an edge lies on a cycle exactly when it is not a bridge; a loop does
+        assert classify_edges(cycle_graph(4))[0] == frozenset()
+        assert classify_edges(single_bridge())[0] == {"b"}
+        assert classify_edges(single_loop())[0] == frozenset()
 
     def test_blocks_cycle(self):
-        assert len(blocks(cycle_graph(5))) == 1
+        assert len(blocks_of(cycle_graph(5))) == 1
 
     def test_blocks_two_triangles_joined_by_bridge(self):
         # triangles on {0,1,2} and {3,4,5}, bridge 2-3
@@ -189,21 +196,21 @@ class TestStructure:
              (8, 9, +1, "d"), (10, 11, +1, "e"), (12, 13, +1, "f"),
              (6, 7, +1, "g")],
         )
-        blks = blocks(g)
+        blks = blocks_of(g)
         assert len(blks) == 3
-        sizes = sorted(b.n_edges for b in blks)
+        sizes = sorted(len(edges) for _, edges in blks)
         assert sizes == [1, 3, 3]
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_blocks_double_edge_path(self, n):
-        blks = blocks(double_edge_path(n))
+        blks = blocks_of(double_edge_path(n))
         assert len(blks) == n
-        assert all(b.n_edges == 2 and b.n_vertices == 2 for b in blks)
+        assert all(len(edges) == 2 and len(verts) == 2 for verts, edges in blks)
 
     def test_blocks_isolated_vertex(self):
+        # the loop is a block of its own, and the isolated vertex is in none
         g = SignedMap([(), (0, 1)], [(0, 1, +1, "l")])
-        kinds = sorted((b.n_vertices, b.n_edges) for b in blocks(g))
-        assert kinds == [(1, 0), (1, 1)]
+        assert blocks_of(g) == [({1}, [0])]
 
 
 class TestFacesAndDual:
