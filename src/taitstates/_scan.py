@@ -29,9 +29,11 @@ from .sgraph import DisconnectedError, SignedMap, face_of_half, faces
 
 def cyclic_flat_masks(g: SignedMap) -> list[int]:
     """Every adequate subset of the connected spherical map ``g``, as
-    ascending bitmasks over ``g.sorted_labels()``."""
+    ascending bitmasks over ``g.edges``."""
     foh = face_of_half(g)
-    bits = {lab: 1 << i for i, lab in enumerate(g.sorted_labels())}
+    bits = {}  # half-edge -> the bit of its edge
+    for i, e in enumerate(g.edges):
+        bits[e.half_a] = bits[e.half_b] = 1 << i
     vinc = [0] * g.n_vertices  # vertex -> OR of the edge masks incident to its class
     finc = [0] * len(faces(g))  # the same for face classes
     vc = fc = 0
@@ -42,7 +44,7 @@ def cyclic_flat_masks(g: SignedMap) -> list[int]:
     for u in queue:
         for half in g.vertices[u]:
             twin = g.partner(half)
-            bit, v = bits[g.edge_of_half(half).label], g.vertex_of_half(twin)
+            bit, v = bits[half], g.vertex_of_half(twin)
             f, h = foh[half], foh[twin]
             vinc[u] |= bit
             finc[f] |= bit
@@ -53,7 +55,7 @@ def cyclic_flat_masks(g: SignedMap) -> list[int]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
-    if len(steps) < len(bits):
+    if len(steps) < g.n_edges:
         raise DisconnectedError("the search needs a connected map")
     order = list(steps.values())
     m = len(order)

@@ -67,8 +67,8 @@ def _require_connected(g: SignedMap) -> None:
 
 
 def _mask_of(g: SignedMap, edge_subset: frozenset) -> int:
-    """``edge_subset`` as a bitmask over ``g.sorted_labels()``."""
-    return sum(1 << i for i, lab in enumerate(g.sorted_labels()) if lab in edge_subset)
+    """``edge_subset`` as a bitmask over ``g.edges``."""
+    return sum(1 << i for i, e in enumerate(g.edges) if e.label in edge_subset)
 
 
 def adequate_by_partition(g: SignedMap, edge_subset: Iterable) -> bool:
@@ -97,7 +97,7 @@ def adequacy_polynomial(g: SignedMap | tuple, edge_subset: Iterable | int,
     ``g`` is a connected map with at least one edge and ``edge_subset`` a
     set of its labels.  The enumeration instead passes ``_mgraph_of(g)``,
     checked once for the whole run, and each subset as a bitmask over
-    ``g.sorted_labels()``.  Both minors are built at index level: G|S keeps
+    ``g.edges``.  Both minors are built at index level: G|S keeps
     the edges of S, and G/S maps the other edges through a union-find over
     the components of S.
     """
@@ -161,8 +161,8 @@ def state_from_partition(g: SignedMap, edge_subset: Iterable,
 @dataclass(frozen=True)
 class _LabelTable:
     """What records and renderers read of a map, once per map: its labels in
-    ``sorted_labels()`` order, the negative ones as a bitmask, and each
-    label's text.  Equal tables come from maps with equal labels and signs."""
+    ``edges`` order, the negative ones as a bitmask, and each label's text.
+    Equal tables come from maps with equal labels and signs."""
 
     labels: tuple
     negative: int
@@ -170,8 +170,8 @@ class _LabelTable:
 
     @classmethod
     def of(cls, g: SignedMap) -> "_LabelTable":
-        labels = tuple(g.sorted_labels())
-        negative = sum(1 << i for i, lab in enumerate(labels) if g.sign(lab) < 0)
+        labels = tuple(e.label for e in g.edges)
+        negative = sum(1 << i for i, e in enumerate(g.edges) if e.sign < 0)
         return cls(labels, negative, tuple(map(str, labels)))
 
     def indices(self, mask: int) -> list[int]:
@@ -204,8 +204,8 @@ _LETTERS = str.maketrans("01", "BA")
 @dataclass(frozen=True, slots=True)
 class StateRecord:
     """One adequate state.  ``mask`` is its edge subset as a bitmask over the
-    map's ``sorted_labels()``; ``edge_subset`` and ``state`` are built from
-    it on each access."""
+    map's ``edges``; ``edge_subset`` and ``state`` are built from it on each
+    access."""
 
     mask: int
     poly: BiPoly
@@ -413,16 +413,15 @@ def homogeneous_adequate(g: SignedMap, edge_subset: Iterable) -> bool:
 
 def _signed_sides(g: SignedMap) -> tuple[int, list[tuple[int, int, int, int, int]]]:
     """What ``_homogeneous`` reads of the reduced map ``g``: the count of its
-    vertices and faces, and per edge in ``g.sorted_labels()`` order its two
-    vertices, its two faces (offset by the vertex count) and its sign."""
+    vertices and faces, and per edge in ``g.edges`` order its two vertices,
+    its two faces (offset by the vertex count) and its sign."""
     bridges, loops = classify_edges(g)
     if bridges or loops:
         raise ValueError("homogeneity conditions require a reduced graph")
     nv = g.n_vertices
     foh = face_of_half(g)
     sides = []
-    for lab in g.sorted_labels():
-        e = g.edge(lab)
+    for e in g.edges:
         sides.append((g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b),
                       nv + foh[e.half_a], nv + foh[e.half_b], e.sign))
     return nv + len(faces(g)), sides

@@ -8,7 +8,7 @@ Subcommands:
 * ``check``     -- structural diagnostics for a diagram
 
 Exit codes: 0 success, 1 verification/check failure, 2 input error,
-3 enumeration cap exceeded.
+3 enumeration cap exceeded or a graph too deep for the Tutte recursion.
 """
 
 from __future__ import annotations
@@ -60,27 +60,35 @@ def _read_input(path: str) -> str:
         raise PDParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load(path: str, fmt: str, coloring: str, mirrored: bool) -> sgraph.SignedMap:
-    """The signed Tait graph of the input, or the graph of bare graph JSON."""
-    text = _read_input(path)
-    if fmt == "json":
-        doc = json.loads(text)
+def _load(args) -> LinkDiagram | sgraph.SignedMap:
+    """The uncolored diagram of the input, mirrored if asked, or the graph of
+    bare graph JSON, its signs flipped if mirrored."""
+    text = _read_input(args.input)
+    if args.format == "json":
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise PDParseError("JSON input is nested too deeply") from None
         if not isinstance(doc, dict):
             raise PDParseError("JSON input must be an object")
         if "vertices" in doc and "edges" in doc:
             g = sgraph.from_json(text)
-            return sgraph.flip_signs(g) if mirrored else g
+            return sgraph.flip_signs(g) if args.mirror else g
         d = load_diagram_json(text)
-        d = LinkDiagram(d.crossings, d.outer_arc)  # recolor per flags below
+        d = LinkDiagram(d.crossings, d.outer_arc)  # recolor per --coloring
     else:
         d = parse_pd(text)
-    if mirrored:
-        d = mirror(d)
-    return tait(checkerboard(d, coloring))[0]
+    return mirror(d) if args.mirror else d
+
+
+def _load_graph(args) -> sgraph.SignedMap:
+    """The signed Tait graph of the input, or the graph of bare graph JSON."""
+    d = _load(args)
+    return tait(checkerboard(d, args.coloring))[0] if isinstance(d, LinkDiagram) else d
 
 
 def cmd_tutte(args) -> int:
-    g = _load(args.input, args.format, args.coloring, args.mirror)
+    g = _load_graph(args)
     engine = TutteEngine()
     chi = engine.tutte(g)
     if not (args.diag or args.trees):
@@ -93,7 +101,7 @@ def cmd_tutte(args) -> int:
 
 
 def cmd_adequate(args) -> int:
-    g = _load(args.input, args.format, args.coloring, args.mirror)
+    g = _load_graph(args)
     engine = TutteEngine()
 
     if args.ab:
@@ -124,14 +132,9 @@ def cmd_adequate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    text = _read_input(args.input)
-    if args.format == "json":
-        d = load_diagram_json(text)
-        d = LinkDiagram(d.crossings, d.outer_arc)
-    else:
-        d = parse_pd(text)
-    if args.mirror:
-        d = mirror(d)
+    d = _load(args)
+    if not isinstance(d, LinkDiagram):
+        raise PDParseError("check needs a diagram, not graph JSON")
     failures = 0
     n = d.n_crossings
     print(f"crossings: {n}")
@@ -200,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except CapExceededError as exc:
         print(f"error: {exc} (raise --max-edges to override)", file=sys.stderr)
+        return EXIT_CAP
+    except RecursionError:
+        print("error: the graph is too deep for the Tutte recursion", file=sys.stderr)
         return EXIT_CAP
     except VerificationError as exc:
         # the completeness certificate failed; never expected on sound input

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .sgraph import (
@@ -77,12 +77,6 @@ class ColoringError(ValueError):
 
 _TOKEN = re.compile(r"[Xx]\s*[\[\(]([^\]\)]*)[\]\)]")
 
-# Bounds on the per-diagram caches below.  One report reads one colored
-# diagram's entries again and again, so a few dozen diagrams are plenty;
-# the circle cache is keyed by (diagram, state) and holds more.
-DIAGRAM_CACHE_SIZE = 32
-STATE_CACHE_SIZE = 1024
-
 
 @dataclass(frozen=True)
 class LinkDiagram:
@@ -94,6 +88,11 @@ class LinkDiagram:
 
     ``swap_colors`` is None until ``checkerboard`` has been applied; False
     means the unbounded region is white (canonical), True means black.
+
+    The projection map (its faces are the regions), the regions at each
+    crossing, their colors and the Tait graph are computed on first use and
+    kept on the diagram, outside ``==`` and ``hash``, so they are freed with
+    it.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -112,6 +111,121 @@ class LinkDiagram:
 
     def arcs(self) -> list[int]:
         return sorted({a for cr in self.crossings for a in cr})
+
+    @cached_property
+    def projection(self) -> SignedMap:
+        """The 4-valent projection as a combinatorial map (signs are dummies)."""
+        if not self.crossings:
+            raise ValueError("zero-crossing diagram has no projection map")
+        by_arc: dict[int, list[int]] = {}
+        for ci, cr in enumerate(self.crossings):
+            for k, a in enumerate(cr):
+                by_arc.setdefault(a, []).append(_slot(ci, k))
+        edges = [Edge(slots[0], slots[1], +1, arc) for arc, slots in by_arc.items()]
+        vertices = [tuple(range(4 * ci, 4 * ci + 4)) for ci in range(self.n_crossings)]
+        return SignedMap(vertices, edges)
+
+    @cached_property
+    def corner_faces(self) -> tuple[tuple[int, int, int, int], ...]:
+        """``corner_faces[ci][k]`` is the region index of quadrant q_k (the
+        corner between slots k and k+1 of crossing ci)."""
+        foh = face_of_half(self.projection)
+        return tuple(
+            tuple(foh[_slot(ci, k + 1)] for k in range(4))
+            for ci in range(self.n_crossings)
+        )
+
+    @cached_property
+    def colors(self) -> tuple[str, ...]:
+        """Proper 2-coloring of the regions; requires ``checkerboard`` first."""
+        if self.swap_colors is None:
+            raise ColoringError("diagram has not been checkerboard-colored yet")
+        nf = len(faces(self.projection))
+        foh = face_of_half(self.projection)
+        adj: list[set[int]] = [set() for _ in range(nf)]
+        for e in self.projection.edges:
+            f1, f2 = foh[e.half_a], foh[e.half_b]
+            if f1 == f2:
+                raise ColoringError(
+                    f"region {f1} lies on both sides of arc {e.label}; diagram not colorable"
+                )
+            adj[f1].add(f2)
+            adj[f2].add(f1)
+        color = [-1] * nf
+        stack = [0]
+        color[0] = 0
+        while stack:
+            f = stack.pop()
+            for g in adj[f]:
+                if color[g] == -1:
+                    color[g] = 1 - color[f]
+                    stack.append(g)
+                elif color[g] == color[f]:
+                    raise ColoringError("projection regions are not 2-colorable")
+        outer = outer_region(self)
+        # canonical: unbounded region white
+        outer_color = "black" if self.swap_colors else "white"
+        other = "white" if outer_color == "black" else "black"
+        return tuple(outer_color if color[f] == color[outer] else other for f in range(nf))
+
+    @cached_property
+    def tait_graph(self) -> SignedMap:
+        """The signed Tait graph, edge ci for crossing ci (``tait`` has more);
+        a projection that is not planar raises ``PDParseError``."""
+        walks, corner_face = faces(self.projection), self.corner_faces
+        euler = len(walks) - self.n_crossings  # v - e + f, as e = 2v
+        if euler != 2:
+            raise PDParseError(f"the projection is not planar: v - e + f = {euler}, not 2")
+        colors = self.colors
+
+        # walk index equals region index (faces() enumeration order)
+        black_walks = [wi for wi in range(len(walks)) if colors[wi] == "black"]
+        vertex_of_walk = {wi: i for i, wi in enumerate(black_walks)}
+
+        signs: list[int] = []
+        black_corners: list[tuple[int, int]] = []
+        for ci in range(self.n_crossings):
+            cc = [colors[f] for f in corner_face[ci]]
+            if cc[0] != cc[2] or cc[1] != cc[3] or cc[0] == cc[1]:
+                raise ColoringError(f"crossing {ci}: quadrant colors do not alternate")
+            if cc[1] == "black":
+                signs.append(+1)
+                black_corners.append((1, 3))
+            else:
+                signs.append(-1)
+                black_corners.append((0, 2))
+
+        # vertex rotations: black corners in face-walk order
+        rotations: list[list[int]] = [[] for _ in black_walks]
+        for wi in black_walks:
+            rot = rotations[vertex_of_walk[wi]]
+            for h in walks[wi]:
+                ci, j = divmod(h, 4)
+                k = (j - 1) % 4  # corner between slots k and k+1 is entered via slot k+1
+                rot.append(_slot(ci, k))
+
+        edges = []
+        for ci in range(self.n_crossings):
+            k1, k2 = black_corners[ci]
+            edges.append(Edge(_slot(ci, k1), _slot(ci, k2), signs[ci], ci))
+
+        g = SignedMap(rotations, edges)
+
+        # check that the Tait face walks and the white regions biject
+        tait_walks = faces(g)
+        white_of_walk: list[int] = []
+        for ti, tw in enumerate(tait_walks):
+            whites = set()
+            for h in tw:
+                ci, k = divmod(h, 4)
+                whites.add(corner_face[ci][(k + _WHITE_SIDE) % 4])
+            if len(whites) != 1:
+                raise VerificationError(
+                    f"tait face {ti} hugs several white regions: {sorted(whites)}")
+            white_of_walk.append(whites.pop())
+        if len(set(white_of_walk)) != len(tait_walks):
+            raise VerificationError("tait faces and white regions do not biject")
+        return g
 
 
 @dataclass(frozen=True)
@@ -239,39 +353,8 @@ def _slot(ci: int, k: int) -> int:
     return 4 * ci + (k % 4)
 
 
-@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
-def projection_map(d: LinkDiagram) -> SignedMap:
-    """The 4-valent projection as a combinatorial map (signs are dummies)."""
-    if not d.crossings:
-        raise ValueError("zero-crossing diagram has no projection map")
-    by_arc: dict[int, list[int]] = {}
-    for ci, cr in enumerate(d.crossings):
-        for k, a in enumerate(cr):
-            by_arc.setdefault(a, []).append(_slot(ci, k))
-    edges = [Edge(slots[0], slots[1], +1, arc) for arc, slots in sorted(by_arc.items())]
-    vertices = [tuple(range(4 * ci, 4 * ci + 4)) for ci in range(d.n_crossings)]
-    return SignedMap(vertices, edges)
-
-
-@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
-def _region_data(d: LinkDiagram):
-    """(walks, face_of_half, corner_face) for the projection.
-
-    ``corner_face[ci][k]`` is the region index of quadrant q_k (the corner
-    between slots k and k+1 of crossing ci).
-    """
-    proj = projection_map(d)
-    walks = faces(proj)
-    foh = face_of_half(proj)
-    corner_face = tuple(
-        tuple(foh[_slot(ci, k + 1)] for k in range(4))
-        for ci in range(d.n_crossings)
-    )
-    return walks, foh, corner_face
-
-
 def region_count(d: LinkDiagram) -> int:
-    return len(_region_data(d)[0])
+    return len(faces(d.projection))
 
 
 def _anchor_slot(d: LinkDiagram, arc: int) -> int:
@@ -305,45 +388,8 @@ def outer_region(d: LinkDiagram) -> int:
     Taken from the ``outer_arc`` marker when present, else from the lowest
     numbered arc; the region is the one traced through the anchor end.
     """
-    _, foh, _ = _region_data(d)
     arc = d.outer_arc if d.outer_arc is not None else min(d.arcs())
-    return foh[_anchor_slot(d, arc)]
-
-
-@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
-def region_colors(d: LinkDiagram) -> tuple[str, ...]:
-    """Proper 2-coloring of the regions; requires ``checkerboard`` first."""
-    if d.swap_colors is None:
-        raise ColoringError("diagram has not been checkerboard-colored yet")
-    proj = projection_map(d)
-    walks = faces(proj)
-    foh = face_of_half(proj)
-    nf = len(walks)
-    adj: list[set[int]] = [set() for _ in range(nf)]
-    for e in proj.edges:
-        f1, f2 = foh[e.half_a], foh[e.half_b]
-        if f1 == f2:
-            raise ColoringError(
-                f"region {f1} lies on both sides of arc {e.label}; diagram not colorable"
-            )
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-    color = [-1] * nf
-    stack = [0]
-    color[0] = 0
-    while stack:
-        f = stack.pop()
-        for g in adj[f]:
-            if color[g] == -1:
-                color[g] = 1 - color[f]
-                stack.append(g)
-            elif color[g] == color[f]:
-                raise ColoringError("projection regions are not 2-colorable")
-    outer = outer_region(d)
-    # canonical: unbounded region white
-    outer_color = "black" if d.swap_colors else "white"
-    other = "white" if outer_color == "black" else "black"
-    return tuple(outer_color if color[f] == color[outer] else other for f in range(nf))
+    return face_of_half(d.projection)[_anchor_slot(d, arc)]
 
 
 def checkerboard(d: LinkDiagram, convention: str = "canonical") -> LinkDiagram:
@@ -351,7 +397,7 @@ def checkerboard(d: LinkDiagram, convention: str = "canonical") -> LinkDiagram:
     if convention not in ("canonical", "swapped"):
         raise ValueError("convention must be 'canonical' or 'swapped'")
     colored = LinkDiagram(d.crossings, d.outer_arc, swap_colors=(convention == "swapped"))
-    region_colors(colored)  # force validation
+    colored.colors  # force validation
     return colored
 
 
@@ -366,69 +412,13 @@ def checkerboard(d: LinkDiagram, convention: str = "canonical") -> LinkDiagram:
 _WHITE_SIDE = -1
 
 
-@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
-def _tait_data(d: LinkDiagram):
-    walks, foh, corner_face = _region_data(d)
-    colors = region_colors(d)
-
-    # walk index equals region index (faces() enumeration order)
-    black_walks = [wi for wi in range(len(walks)) if colors[wi] == "black"]
-    vertex_of_walk = {wi: i for i, wi in enumerate(black_walks)}
-
-    signs: list[int] = []
-    black_corners: list[tuple[int, int]] = []
-    for ci in range(d.n_crossings):
-        cc = [colors[f] for f in corner_face[ci]]
-        if cc[0] != cc[2] or cc[1] != cc[3] or cc[0] == cc[1]:
-            raise ColoringError(f"crossing {ci}: quadrant colors do not alternate")
-        if cc[1] == "black":
-            signs.append(+1)
-            black_corners.append((1, 3))
-        else:
-            signs.append(-1)
-            black_corners.append((0, 2))
-
-    # vertex rotations: black corners in face-walk order
-    rotations: list[list[int]] = [[] for _ in black_walks]
-    for wi in black_walks:
-        rot = rotations[vertex_of_walk[wi]]
-        for h in walks[wi]:
-            ci, j = divmod(h, 4)
-            k = (j - 1) % 4  # corner between slots k and k+1 is entered via slot k+1
-            rot.append(_slot(ci, k))
-
-    edges = []
-    for ci in range(d.n_crossings):
-        k1, k2 = black_corners[ci]
-        edges.append(Edge(_slot(ci, k1), _slot(ci, k2), signs[ci], ci))
-
-    g = SignedMap(rotations, edges)
-
-    # check that the Tait face walks and the white regions biject
-    tait_walks = faces(g)
-    white_of_walk: list[int] = []
-    for ti, tw in enumerate(tait_walks):
-        whites = set()
-        for h in tw:
-            ci, k = divmod(h, 4)
-            whites.add(corner_face[ci][(k + _WHITE_SIDE) % 4])
-        if len(whites) != 1:
-            raise AssertionError(f"tait face {ti} hugs several white regions: {sorted(whites)}")
-        white_of_walk.append(whites.pop())
-    if len(set(white_of_walk)) != len(tait_walks):
-        raise AssertionError("tait faces and white regions do not biject")
-    corr = {ci: ci for ci in range(d.n_crossings)}
-    return g, corr
-
-
 def tait(d: LinkDiagram) -> tuple[SignedMap, dict[int, int]]:
     """Tait graph of a colored diagram plus the crossing-to-edge-label map.
 
     One vertex per black region, one signed edge per crossing; rotations are
     inherited from the cyclic order of crossings around each black region.
     """
-    g, corr = _tait_data(d)
-    return g, dict(corr)
+    return d.tait_graph, {ci: ci for ci in range(d.n_crossings)}
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
@@ -449,8 +439,7 @@ def is_reduced(d: LinkDiagram) -> bool:
 
 
 def nugatory_crossings(d: LinkDiagram) -> list[int]:
-    _, _, corner_face = _region_data(d)
-    return [ci for ci in range(d.n_crossings) if len(set(corner_face[ci])) < 4]
+    return [ci for ci in range(d.n_crossings) if len(set(d.corner_faces[ci])) < 4]
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +504,11 @@ def _resolution_joins(cr_index: int, res: str) -> tuple[tuple[int, int], tuple[i
     return ((_slot(cr_index, 1), _slot(cr_index, 2)), (_slot(cr_index, 3), _slot(cr_index, 0)))
 
 
-@lru_cache(maxsize=STATE_CACHE_SIZE)
 def _circle_structure(d: LinkDiagram, s: State):
     """(count, slot -> circle id) for the fully resolved diagram."""
     n = d.n_crossings
     dsu = _DSU(4 * n)
-    proj = projection_map(d)
-    for e in proj.edges:
+    for e in d.projection.edges:
         dsu.union(e.half_a, e.half_b)
     for ci in range(n):
         for a, b in _resolution_joins(ci, s.resolution(ci)):
@@ -540,9 +527,8 @@ def state_circles(d: LinkDiagram, s: State) -> tuple[int, tuple[frozenset, ...]]
     if not d.crossings:
         return 1, (frozenset(),)
     count, assign = _circle_structure(d, s)
-    proj = projection_map(d)
     groups: dict[int, set] = {}
-    for e in proj.edges:
+    for e in d.projection.edges:
         groups.setdefault(assign[e.half_a], set()).add(e.label)
     circles = tuple(frozenset(g) for _, g in sorted(groups.items()))
     return count, circles

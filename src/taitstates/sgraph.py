@@ -2,12 +2,15 @@
 
 A ``SignedMap`` stores, for every vertex, the cyclic order of half-edge
 identifiers around it, and for every edge the pair of half-edges it joins
-plus a sign and a stable label.  Faces are recovered by rotation-and-pair
-face tracing, so planar structure needs no coordinates.  Labels survive
-restriction and contraction, which keeps the crossing-to-edge
+plus a sign and a stable label.  Edges are kept in label order, so bit i of
+an edge-subset bitmask is ``edges[i]`` everywhere.  Faces are recovered by
+rotation-and-pair face tracing, so planar structure needs no coordinates.
+Labels survive restriction and contraction, which keeps the crossing-to-edge
 correspondence of a Tait graph intact through graph surgery.
 
-Maps are immutable values: every operation returns a new map.
+Maps are immutable values: every operation returns a new map.  What is
+derived from a map (its faces, its bridges and loops) is computed on first
+use and kept on the map.
 """
 
 from __future__ import annotations
@@ -68,11 +71,12 @@ class SignedMap:
     """Immutable signed multigraph with a rotation system."""
 
     __slots__ = ("vertices", "edges", "_half2vertex", "_half2edge", "_label2edge", "_faces",
-                 "_classified")
+                 "_face_of_half", "_classified")
 
     def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence[Edge | tuple]):
         vtuple = tuple(tuple(rot) for rot in vertices)
-        etuple = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
+        etuple = tuple(sorted((e if isinstance(e, Edge) else Edge(*e) for e in edges),
+                              key=lambda e: label_sort_key(e.label)))
 
         half2vertex: dict[int, int] = {}
         for vi, rot in enumerate(vtuple):
@@ -111,8 +115,7 @@ class SignedMap:
         self._half2vertex = half2vertex
         self._half2edge = half2edge
         self._label2edge = label2edge
-        self._faces = None
-        self._classified = None
+        self._faces = self._face_of_half = self._classified = None
 
     # -- basic queries -------------------------------------------------
 
@@ -128,7 +131,7 @@ class SignedMap:
         return frozenset(self._label2edge)
 
     def sorted_labels(self) -> list:
-        return sorted(self._label2edge, key=label_sort_key)
+        return [e.label for e in self.edges]
 
     def edge(self, label: Label) -> Edge:
         try:
@@ -138,9 +141,6 @@ class SignedMap:
 
     def vertex_of_half(self, h: int) -> int:
         return self._half2vertex[h]
-
-    def edge_of_half(self, h: int) -> Edge:
-        return self._half2edge[h]
 
     def partner(self, h: int) -> int:
         e = self._half2edge[h]
@@ -218,12 +218,12 @@ def contract(g: SignedMap, labels: Iterable[Label]) -> SignedMap:
     the contracted edge's half-edge positions, which keeps the embedding
     coherent (checked by the Euler-formula invariant in the test suite).
     """
-    todo = sorted(g.check_edge_set(labels), key=label_sort_key)
+    contracted = g.check_edge_set(labels)
+    todo = [e for e in g.edges if e.label in contracted]
     vertices: list[list[int] | None] = [list(rot) for rot in g.vertices]
     half2vertex = dict(g._half2vertex)
 
-    for lab in todo:
-        e = g.edge(lab)
+    for e in todo:
         u = half2vertex[e.half_a]
         w = half2vertex[e.half_b]
         if u == w:
@@ -239,7 +239,6 @@ def contract(g: SignedMap, labels: Iterable[Label]) -> SignedMap:
         for h in rot_w[ib + 1:] + rot_w[:ib]:
             half2vertex[h] = u
 
-    contracted = set(todo)
     new_vertices = [rot for rot in vertices if rot is not None]
     new_edges = [e for e in g.edges if e.label not in contracted]
     return SignedMap(new_vertices, new_edges)
@@ -379,36 +378,35 @@ def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
 def faces(g: SignedMap) -> tuple[tuple[int, ...], ...]:
     """Face walks as half-edge cycles (orbits of h -> next-at-vertex(partner(h))).
 
-    Isolated vertices contribute no walk.  The result is cached on the map.
+    Isolated vertices contribute no walk.  The walks and ``face_of_half``
+    are traced together once and cached on the map.
     """
     if g._faces is not None:
         return g._faces
-    seen: set[int] = set()
+    foh: dict[int, int] = {}
     walks: list[tuple[int, ...]] = []
     for rot in g.vertices:
         for h0 in rot:
-            if h0 in seen:
+            if h0 in foh:
                 continue
             walk = []
             h = h0
             while True:
                 walk.append(h)
-                seen.add(h)
+                foh[h] = len(walks)
                 h = g.next_at_vertex(g.partner(h))
                 if h == h0:
                     break
             walks.append(tuple(walk))
-    g._faces = tuple(walks)
+    g._faces, g._face_of_half = tuple(walks), foh
     return g._faces
 
 
 def face_of_half(g: SignedMap) -> dict[int, int]:
-    """half-edge -> index of the face walk containing it."""
-    out: dict[int, int] = {}
-    for fi, walk in enumerate(faces(g)):
-        for h in walk:
-            out[h] = fi
-    return out
+    """half-edge -> index of the face walk containing it.  The dict is the
+    map's cached one, so callers must not change it."""
+    faces(g)
+    return g._face_of_half
 
 
 def euler_genus_ok(g: SignedMap) -> bool:

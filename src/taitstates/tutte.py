@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .bipoly import BiPoly
-from .sgraph import SignedMap, edge_blocks, label_sort_key
+from .sgraph import SignedMap, edge_blocks
 
 __all__ = [
     "TutteEngine",
@@ -69,12 +69,9 @@ _EDGE_VALUES = {
 
 
 def _mgraph_of(g: SignedMap) -> _MG:
-    """Edges of ``g`` in ``g.sorted_labels()`` order, as vertex-index pairs."""
-    ends = sorted(
-        (label_sort_key(e.label), g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b))
-        for e in g.edges
-    )
-    return (g.n_vertices, tuple((u, v) for _, u, v in ends))
+    """The edges of ``g``, which are in label order, as vertex-index pairs."""
+    vertex = g.vertex_of_half
+    return (g.n_vertices, tuple((vertex(e.half_a), vertex(e.half_b)) for e in g.edges))
 
 
 def _mg_induce_edges(edges, idxs: Iterable[int]) -> _MG:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -21,7 +22,6 @@ from taitstates.diagram import (
     LinkDiagram,
     State,
     checkerboard,
-    projection_map,
     segment_self_touch,
     tait,
 )
@@ -211,6 +211,21 @@ def fat_cycle(multiplicities: list[int], sign: int = +1) -> SignedMap:
             h += 2
     return SignedMap([tuple(reversed(incoming[v])) + tuple(outgoing[v]) for v in range(c)],
                      edges)
+
+
+def ladder_graph(rungs: int, sign: int = +1) -> SignedMap:
+    """The ladder with the given number of rungs: 3 * rungs - 2 edges.  Vertex
+    i sits at (i // 2, i % 2) in the plane, and each rotation lists its
+    half-edges by angle, so the map is plane."""
+    pairs = [(i, i + 1) for i in range(0, 2 * rungs, 2)]  # the rungs
+    pairs += [(i, i + 2) for i in range(2 * rungs - 2)]  # the two rails
+    around: list[list[tuple[float, int]]] = [[] for _ in range(2 * rungs)]
+    for k, (u, v) in enumerate(pairs):
+        dx, dy = v // 2 - u // 2, v % 2 - u % 2
+        around[u].append((math.atan2(dy, dx), 2 * k))
+        around[v].append((math.atan2(-dy, -dx), 2 * k + 1))
+    edges = [(2 * k, 2 * k + 1, sign, k) for k in range(len(pairs))]
+    return SignedMap([tuple(h for _, h in sorted(a)) for a in around], edges)
 
 
 def torus2n_diagram(n: int) -> LinkDiagram:
@@ -616,7 +631,7 @@ def homogeneity_oracle(d: LinkDiagram, s: State) -> bool:
     Regions of the resolved diagram are projection regions merged across the
     open channel of each resolution.
     """
-    proj = projection_map(d)
+    proj = d.projection
     walks = faces(proj)
     foh = face_of_half(proj)
     parent = list(range(len(walks)))

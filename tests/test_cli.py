@@ -13,11 +13,15 @@ import taitstates
 
 from taitstates.cli import build_parser, main
 
-from helpers import cycle_graph, diagram_for_graph, diagram_to_json, random_bridgeless_map, to_json
+from helpers import (cycle_graph, diagram_for_graph, diagram_to_json, ladder_graph,
+                     random_bridgeless_map, to_json)
+from taitstates import diagram
 from taitstates.adequacy import enumerate_adequate
 from taitstates.diagram import tait
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+# two crossings whose arcs pass straight through both: 2 regions, v - e + f = 0
+NON_PLANAR = "X[1,2,3,4] X[3,4,1,2]"
 HERE = os.path.dirname(__file__)
 FIXTURE = os.path.join(HERE, "data", "11n95.json")
 
@@ -78,6 +82,26 @@ class TestTutte:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["tutte", "adequate"])
+    def test_non_planar_projection_exit_2(self, capsys, tmp_path, command):
+        p = tmp_path / "np.pd"
+        p.write_text(NON_PLANAR)
+        code, out, err = run(capsys, command, str(p))
+        assert code == 2
+        assert out == ""
+        assert err == "error: the projection is not planar: v - e + f = 0, not 2\n"
+
+    def test_ladder_too_deep_exit_3(self, capsys, tmp_path):
+        ladder = ladder_graph(400)
+        assert ladder.n_edges == 1198
+        p = tmp_path / "ladder.json"
+        p.write_text(to_json(ladder))
+        code, out, err = run(capsys, "tutte", str(p), "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "--max-edges" not in err
+
 
 class TestAdequate:
     def test_table_output(self, capsys, trefoil_file):
@@ -125,7 +149,8 @@ class TestAdequate:
         code, out, _ = run(capsys, "adequate", FIXTURE, "--format", "json",
                            "--output", "csv")
         assert code == 0
-        expected = open(os.path.join(HERE, "data", "11n95_expected.csv")).read()
+        with open(os.path.join(HERE, "data", "11n95_expected.csv")) as fh:
+            expected = fh.read()
         assert out == expected
 
     def test_csv_output(self, capsys, trefoil_file):
@@ -185,6 +210,15 @@ class TestAdequate:
         assert outs[0] == outs[1]
         assert 0 < json.loads(outs[1])["count"] < len(enumerate_adequate(tait(d)[0]).states)
 
+    def test_tait_face_check_exits_1(self, capsys, monkeypatch):
+        # hugging the wrong quadrant breaks the Tait-face / white-region bijection
+        monkeypatch.setattr(diagram, "_WHITE_SIDE", 1)
+        code, out, err = run(capsys, "adequate", FIXTURE, "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failure: tait face")
+        assert len(err.splitlines()) == 1
+
     def test_checks_survive_optimize_flag(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(taitstates.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -231,6 +265,24 @@ class TestCheck:
         assert code == 2
         assert "disconnected" in err
 
+    def test_non_planar_projection_fails_euler(self, capsys, tmp_path):
+        p = tmp_path / "np.pd"
+        p.write_text(NON_PLANAR)
+        code, out, _ = run(capsys, "check", str(p))
+        assert code == 1
+        assert out.splitlines() == [
+            "crossings: 2", "regions: 2", "euler (v - e + f): 0  FAIL", "coloring: ok",
+            "not reduced: crossing 0 is nugatory", "not reduced: crossing 1 is nugatory",
+        ]
+
+    def test_graph_json_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "c3.json"
+        p.write_text(to_json(cycle_graph(3)))
+        code, out, err = run(capsys, "check", str(p), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 GRAPH_EDGE = {"halves": [0, 1], "sign": "+", "label": 0}
 
@@ -255,14 +307,16 @@ class TestMalformedInput:
          "edges": [dict(GRAPH_EDGE, halves=[0, 1], label=1),
                    dict(GRAPH_EDGE, halves=[2, 3], sign="-", label="1"),
                    dict(GRAPH_EDGE, halves=[4, 5], label="e")]},
+        # raw text: deeper than the JSON parser can recurse
+        "[" * 200_000,
     ], ids=["vertices-not-a-list", "label-is-a-list", "top-level-number",
             "outer-arc-is-a-list", "sign-not-plus-or-minus", "arc-is-infinite",
             "arc-is-a-fraction", "arc-is-a-numeric-string", "arc-is-a-bool",
             "arc-is-an-integral-float", "crossing-is-a-string", "crossings-not-a-list",
-            "labels-print-alike"])
+            "labels-print-alike", "nested-too-deeply"])
     def test_exit_2_with_one_error_line(self, capsys, tmp_path, doc):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run(capsys, "adequate", str(p), "--format", "json")
         assert code == 2
         assert out == ""

@@ -1,8 +1,9 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from taitstates import diagram
 from taitstates.diagram import (
     ColoringError,
     LinkDiagram,
@@ -16,7 +17,6 @@ from taitstates.diagram import (
     mirror,
     nugatory_crossings,
     parse_pd,
-    region_colors,
     region_count,
     outer_region,
     segment_self_touch,
@@ -88,17 +88,17 @@ class TestParsing:
 class TestColoring:
     def test_canonical_outer_is_white(self):
         d = checkerboard(parse_pd(TREFOIL), "canonical")
-        assert region_colors(d)[outer_region(d)] == "white"
+        assert d.colors[outer_region(d)] == "white"
 
     def test_swapped_outer_is_black(self):
         d = checkerboard(parse_pd(TREFOIL), "swapped")
-        assert region_colors(d)[outer_region(d)] == "black"
+        assert d.colors[outer_region(d)] == "black"
 
     def test_proper_coloring(self):
         rng = random.Random(3)
         for _ in range(10):
             d = random_diagram(rng.randint(2, 7), rng)
-            colors = region_colors(d)
+            colors = d.colors
             g, corr = tait(d)
             # one vertex per black region, one face per white region
             assert g.n_vertices == sum(1 for c in colors if c == "black")
@@ -108,7 +108,7 @@ class TestColoring:
     def test_uncolored_rejects(self):
         d = parse_pd(TREFOIL)
         with pytest.raises(ColoringError):
-            region_colors(d)
+            d.colors
 
     def test_bad_convention(self):
         with pytest.raises(ValueError):
@@ -298,7 +298,7 @@ class TestStateCircles:
             g, corr = tait(d)
             black, white = checkerboard_states(d, g, corr)
             assert state_circles(d, black)[0] == g.n_vertices
-            colors = region_colors(d)
+            colors = d.colors
             assert state_circles(d, white)[0] == sum(1 for c in colors if c == "white")
 
 
@@ -341,22 +341,15 @@ class TestSelfTouch:
                 assert drops == (not segment_self_touch(d, s))
 
 
-def test_caches_stay_bounded():
-    # more distinct diagrams and (diagram, state) pairs than the caches hold
+def test_derived_data_is_freed_with_the_diagram():
+    # the projection, regions, colors and Tait graph live on the diagram, so
+    # nothing else keeps a diagram alive once its caller drops it
     rng = random.Random(113)
-    for _ in range(diagram.DIAGRAM_CACHE_SIZE + 8):
-        d = random_diagram(rng.randint(5, 7), rng)
+    refs = []
+    for _ in range(3):
+        d = checkerboard(random_diagram(rng.randint(5, 7), rng), "swapped")
         tait(d)
-        for s in all_states(d):
-            segment_self_touch(d, s)
-    bounds = {
-        diagram.projection_map: diagram.DIAGRAM_CACHE_SIZE,
-        diagram._region_data: diagram.DIAGRAM_CACHE_SIZE,
-        diagram.region_colors: diagram.DIAGRAM_CACHE_SIZE,
-        diagram._tait_data: diagram.DIAGRAM_CACHE_SIZE,
-        diagram._circle_structure: diagram.STATE_CACHE_SIZE,
-    }
-    for fn, bound in bounds.items():
-        assert fn.cache_info().maxsize == bound
-        assert fn.cache_info().currsize <= bound, fn
-    assert diagram._circle_structure.cache_info().currsize == diagram.STATE_CACHE_SIZE
+        refs.append(weakref.ref(d))
+    del d
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]

@@ -70,6 +70,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="both print as '1'"):
             from_json(json.dumps(LABELS_PRINT_ALIKE))
 
+    def test_edges_kept_in_label_order(self):
+        # bit i of a subset mask is edges[i], whatever order the edges came in
+        given = [(4, 5, +1, "e"), (2, 3, -1, 10), (0, 1, +1, 2)]
+        g = SignedMap([(0, 2, 5), (1, 4, 3)], given)
+        assert [e.label for e in g.edges] == [2, 10, "e"] == g.sorted_labels()
+        assert g == SignedMap([(0, 2, 5), (1, 4, 3)], given[::-1])
+
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             SignedMap([(0, 1)], [(0, 1, 2, "a")])

@@ -8,18 +8,22 @@ import pytest
 import taitstates
 from taitstates.bipoly import BiPoly
 from taitstates.diagram import LinkDiagram, State
+from taitstates.sgraph import SignedMap
 
 SUBMODULES = ["_scan", "adequacy", "bipoly", "cli", "diagram", "sgraph", "tutte"]
 
-# moved to tests/helpers.py, or deleted in favor of the code they wrapped
+# moved to tests/helpers.py, deleted in favor of the code they wrapped, or,
+# for the diagram caches, moved onto the diagram as cached attributes
 GONE = [
     "tutte_oracle", "kook_sum", "dual_symmetry_check", "spanning_tree_count",
     "graphs_isomorphic", "_graph_profile", "to_json", "diagram_to_json",
     "cycle_membership", "blocks", "delete", "diagram_report",
+    "projection_map", "region_colors", "DIAGRAM_CACHE_SIZE", "STATE_CACHE_SIZE",
 ]
 GONE_METHODS = [
     (BiPoly, "const"), (BiPoly, "coeff"), (BiPoly, "scale"), (BiPoly, "to_json_terms"),
     (State, "as_dict"), (State, "keys"), (LinkDiagram, "unknot"),
+    (SignedMap, "edge_of_half"),
 ]
 
 
