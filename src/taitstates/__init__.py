@@ -9,96 +9,72 @@ Tait graph, which the enumeration uses as a completeness certificate.  A
 further filter keeps the homogeneously adequate states.
 """
 
-from .bipoly import BiPoly
-from .sgraph import (
-    DisconnectedError,
-    Edge,
-    SignedMap,
-    UnknownEdgeError,
-    classify_edges,
-    components,
-    contract,
-    faces,
-    flip_signs,
-    planar_dual,
-    restrict,
-)
-from .tutte import (
-    CapExceededError,
-    TutteEngine,
-    tutte,
-)
-from .diagram import (
-    ColoringError,
-    EdgePartition,
-    LinkDiagram,
-    PDParseError,
-    State,
-    checkerboard,
-    checkerboard_states,
-    classify,
-    is_reduced,
-    load_diagram_json,
-    mirror,
-    parse_pd,
-    segment_self_touch,
-    state_circles,
-    tait,
-)
-from .adequacy import (
-    AdequacyReport,
-    StateRecord,
-    VerificationError,
-    ab_adequacy,
-    adequacy_polynomial,
-    adequate_by_partition,
-    enumerate_adequate,
-    enumerate_homogeneous,
-    homogeneous_adequate,
-    state_from_partition,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoly",
-    "SignedMap",
-    "Edge",
-    "LinkDiagram",
-    "State",
-    "EdgePartition",
-    "AdequacyReport",
-    "StateRecord",
-    "TutteEngine",
-    "DisconnectedError",
-    "UnknownEdgeError",
-    "PDParseError",
-    "ColoringError",
-    "CapExceededError",
-    "VerificationError",
-    "parse_pd",
-    "load_diagram_json",
-    "checkerboard",
-    "tait",
-    "mirror",
-    "is_reduced",
-    "classify",
-    "checkerboard_states",
-    "state_circles",
-    "segment_self_touch",
-    "restrict",
-    "contract",
-    "components",
-    "classify_edges",
-    "faces",
-    "planar_dual",
-    "flip_signs",
-    "tutte",
-    "adequate_by_partition",
-    "adequacy_polynomial",
-    "state_from_partition",
-    "enumerate_adequate",
-    "enumerate_homogeneous",
-    "ab_adequacy",
-    "homogeneous_adequate",
-]
+# each export and the submodule that defines it; a submodule is imported on
+# the first access to one of its names, so ``import taitstates`` loads none
+_EXPORTS = {
+    "BiPoly": "bipoly",
+    "SignedMap": "sgraph",
+    "Edge": "sgraph",
+    "LinkDiagram": "diagram",
+    "State": "diagram",
+    "AdequacyReport": "adequacy",
+    "StateRecord": "adequacy",
+    "TutteEngine": "tutte",
+    "DisconnectedError": "sgraph",
+    "UnknownEdgeError": "sgraph",
+    "PDParseError": "sgraph",
+    "ColoringError": "diagram",
+    "CapExceededError": "tutte",
+    "VerificationError": "sgraph",
+    "parse_pd": "diagram",
+    "load_diagram_json": "diagram",
+    "checkerboard": "diagram",
+    "tait": "diagram",
+    "mirror": "diagram",
+    "is_reduced": "diagram",
+    "restrict": "sgraph",
+    "contract": "sgraph",
+    "components": "sgraph",
+    "classify_edges": "sgraph",
+    "faces": "sgraph",
+    "planar_dual": "sgraph",
+    "flip_signs": "sgraph",
+    "tutte": "tutte",
+    "adequate_by_partition": "adequacy",
+    "adequacy_polynomial": "adequacy",
+    "enumerate_adequate": "adequacy",
+    "enumerate_homogeneous": "adequacy",
+    "ab_adequacy": "adequacy",
+    "homogeneous_adequate": "adequacy",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        modname = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{modname}"), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(ModuleType):
+    """The package module.  Importing a submodule binds it on the package,
+    and ``tutte`` names both a submodule and the function exported from it,
+    so a submodule is never bound over an export of the same name."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (name in _EXPORTS and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -18,20 +18,19 @@ included, so the answer depends on the state alone.
 
 from __future__ import annotations
 
-import csv
 import io
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ._scan import cyclic_flat_masks
 from .bipoly import BiPoly
-from .diagram import LinkDiagram, State, VerificationError, classify
 from .sgraph import (
     DisconnectedError,
     SignedMap,
+    VerificationError,
     _DSU,
+    _Frozen,
     classify_edges,
     contract,
     euler_genus_ok,
@@ -42,13 +41,15 @@ from .sgraph import (
 )
 from .tutte import X_ZERO, Y_ZERO, CapExceededError, TutteEngine, _mgraph_of
 
+if TYPE_CHECKING:
+    from .diagram import State
+
 __all__ = [
     "AdequacyReport",
     "StateRecord",
     "VerificationError",
     "adequate_by_partition",
     "adequacy_polynomial",
-    "state_from_partition",
     "enumerate_adequate",
     "enumerate_homogeneous",
     "ab_adequacy",
@@ -126,53 +127,23 @@ def adequacy_polynomial(g: SignedMap | tuple, edge_subset: Iterable | int,
     return left * eng.evaluate((n, merged), Y_ZERO)
 
 
-def state_from_partition(g: SignedMap, edge_subset: Iterable,
-                         d: LinkDiagram | None = None,
-                         corr: Mapping | None = None) -> State:
-    """The unique state whose edge subset is ``edge_subset``.
-
-    Positive edges inside are A-resolved, negative inside B-resolved,
-    positive outside B-resolved, negative outside A-resolved.  When the
-    diagram and correspondence are supplied the result is keyed by crossing
-    and the round trip through ``classify`` is checked.
-    """
-    edge_subset = g.check_edge_set(edge_subset)
-    by_label = {}
-    for lab in g.labels():
-        positive = g.sign(lab) > 0
-        inside = lab in edge_subset
-        by_label[lab] = "A" if positive == inside else "B"
-    if d is None:
-        return State.from_dict(by_label)
-    if corr is None:
-        raise ValueError("corr is required along with the diagram")
-    state = State.from_dict({ci: by_label[corr[ci]] for ci in range(d.n_crossings)})
-    back = classify(d, g, corr, state)
-    if back.selected != edge_subset:
-        raise VerificationError("partition/state round trip failed")
-    return state
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LabelTable:
+class _LabelTable(_Frozen):
     """What records and renderers read of a map, once per map: its labels in
     ``edges`` order, the negative ones as a bitmask, and each label's text.
     Equal tables come from maps with equal labels and signs."""
 
-    labels: tuple
-    negative: int
-    text: tuple[str, ...] = field(compare=False, repr=False)
+    _fields = ("labels", "negative")
 
     @classmethod
     def of(cls, g: SignedMap) -> "_LabelTable":
         labels = tuple(e.label for e in g.edges)
         negative = sum(1 << i for i, e in enumerate(g.edges) if e.sign < 0)
-        return cls(labels, negative, tuple(map(str, labels)))
+        return cls(labels=labels, negative=negative, text=tuple(map(str, labels)))
 
     def indices(self, mask: int) -> list[int]:
         return [i for i in range(len(self.labels)) if mask >> i & 1]
@@ -188,6 +159,8 @@ class _LabelTable:
         return bits.translate(_LETTERS)
 
     def state(self, mask: int) -> State:
+        from .diagram import State
+
         return State(tuple(zip(self.labels, self.letters(mask))))
 
     @cached_property
@@ -201,8 +174,7 @@ class _LabelTable:
 _LETTERS = str.maketrans("01", "BA")
 
 
-@dataclass(frozen=True, slots=True)
-class StateRecord:
+class StateRecord(NamedTuple):
     """One adequate state.  ``mask`` is its edge subset as a bitmask over the
     map's ``edges``; ``edge_subset`` and ``state`` are built from it on each
     access."""
@@ -210,7 +182,11 @@ class StateRecord:
     mask: int
     poly: BiPoly
     homogeneous: bool | None
-    table: _LabelTable = field(repr=False)
+    table: _LabelTable
+
+    def __repr__(self) -> str:
+        return (f"StateRecord(mask={self.mask!r}, poly={self.poly!r}, "
+                f"homogeneous={self.homogeneous!r})")
 
     @property
     def edge_subset(self) -> frozenset:
@@ -221,8 +197,7 @@ class StateRecord:
         return self.table.state(self.mask)
 
 
-@dataclass(frozen=True)
-class AdequacyReport:
+class AdequacyReport(NamedTuple):
     states: tuple[StateRecord, ...]
     state_sum: BiPoly
     diagonal: BiPoly
@@ -363,7 +338,7 @@ def enumerate_homogeneous(
     """
     full = enumerate_adequate(g, engine, max_edges, with_homogeneous=True)
     kept = tuple(r for r in full.states if r.homogeneous)
-    return replace(full, states=kept)
+    return full._replace(states=kept)
 
 
 def ab_adequacy(g: SignedMap, engine: TutteEngine | None = None
@@ -511,6 +486,8 @@ def _texts(rec: StateRecord) -> list[str]:
 
 
 def report_to_csv(report: AdequacyReport) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     has_flags = any(rec.homogeneous is not None for rec in report.states)

@@ -13,7 +13,7 @@ wraparound would poison every downstream identity check.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 __all__ = ["BiPoly"]
 
@@ -56,11 +56,6 @@ class BiPoly:
     def y(cls) -> "BiPoly":
         return cls({(0, 1): 1})
 
-    @classmethod
-    def t_poly(cls, coeffs: Iterable[int]) -> "BiPoly":
-        """Univariate polynomial from ascending coefficients [c0, c1, ...]."""
-        return cls({(i, 0): c for i, c in enumerate(coeffs)})
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -72,9 +67,6 @@ class BiPoly:
     def is_univariate(self) -> bool:
         """True when supported on the first exponent axis only."""
         return all(j == 0 for (_, j) in self._terms)
-
-    def nonnegative(self) -> bool:
-        return all(c > 0 for c in self._terms.values())
 
     def t_coeffs(self) -> list[int]:
         """Ascending coefficient list [c0, c1, ...] of a univariate value."""
@@ -129,18 +121,6 @@ class BiPoly:
         res._terms = out
         return res
 
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- specialization and evaluation ----------------------------------
 
     def specialize(self, mode: str) -> "BiPoly":
@@ -170,11 +150,6 @@ class BiPoly:
                 out.pop(key, None)
         res = BiPoly.__new__(BiPoly)
         res._terms = out
-        return res
-
-    def swap_vars(self) -> "BiPoly":
-        res = BiPoly.__new__(BiPoly)
-        res._terms = {(j, i): c for (i, j), c in self._terms.items()}
         return res
 
     def eval(self, x0: int, y0: int) -> int:

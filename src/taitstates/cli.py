@@ -17,11 +17,11 @@ import argparse
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import sgraph
 from .adequacy import (
     DEFAULT_MAX_EDGES,
-    VerificationError,
     ab_adequacy,
     enumerate_adequate,
     enumerate_homogeneous,
@@ -29,20 +29,13 @@ from .adequacy import (
     report_to_json,
     report_to_table,
 )
-from .diagram import (
-    ColoringError,
-    LinkDiagram,
-    PDParseError,
-    checkerboard,
-    load_diagram_json,
-    mirror,
-    nugatory_crossings,
-    parse_pd,
-    region_count,
-    tait,
-)
-from .sgraph import DisconnectedError
+from .sgraph import PDParseError, VerificationError
 from .tutte import CapExceededError, TutteEngine
+
+# diagram.py is imported where a diagram is read, so that a run on graph JSON
+# never loads it
+if TYPE_CHECKING:
+    from .diagram import LinkDiagram
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -72,9 +65,12 @@ def _load(args) -> LinkDiagram | sgraph.SignedMap:
         if not isinstance(doc, dict):
             raise PDParseError("JSON input must be an object")
         if "vertices" in doc and "edges" in doc:
-            g = sgraph.from_json(text)
+            g = sgraph.from_json(doc)
             return sgraph.flip_signs(g) if args.mirror else g
-        d = load_diagram_json(text)
+    from .diagram import LinkDiagram, load_diagram_json, mirror, parse_pd
+
+    if args.format == "json":
+        d = load_diagram_json(doc)
         d = LinkDiagram(d.crossings, d.outer_arc)  # recolor per --coloring
     else:
         d = parse_pd(text)
@@ -84,7 +80,11 @@ def _load(args) -> LinkDiagram | sgraph.SignedMap:
 def _load_graph(args) -> sgraph.SignedMap:
     """The signed Tait graph of the input, or the graph of bare graph JSON."""
     d = _load(args)
-    return tait(checkerboard(d, args.coloring))[0] if isinstance(d, LinkDiagram) else d
+    if isinstance(d, sgraph.SignedMap):
+        return d
+    from .diagram import checkerboard, tait
+
+    return tait(checkerboard(d, args.coloring))[0]
 
 
 def cmd_tutte(args) -> int:
@@ -133,8 +133,10 @@ def cmd_adequate(args) -> int:
 
 def cmd_check(args) -> int:
     d = _load(args)
-    if not isinstance(d, LinkDiagram):
+    if isinstance(d, sgraph.SignedMap):
         raise PDParseError("check needs a diagram, not graph JSON")
+    from .diagram import checkerboard, nugatory_crossings, region_count
+
     failures = 0
     n = d.n_crossings
     print(f"crossings: {n}")
@@ -211,8 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         # the completeness certificate failed; never expected on sound input
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (PDParseError, ColoringError, DisconnectedError, json.JSONDecodeError,
-            ValueError) as exc:
+    except ValueError as exc:  # PDParseError, ColoringError, DisconnectedError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

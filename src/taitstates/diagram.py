@@ -1,4 +1,4 @@
-"""Link diagrams from PD codes: coloring, Tait graphs, states, state circles.
+"""Link diagrams from PD codes: coloring, Tait graphs and states.
 
 Conventions, fixed once and checked by the invariant suite rather than by
 pictures:
@@ -25,17 +25,18 @@ pictures:
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .sgraph import (
     DisconnectedError,
     Edge,
+    PDParseError,
     SignedMap,
+    VerificationError,
     _DSU,
+    _Frozen,
     _is_int,
     classify_edges,
     face_of_half,
@@ -55,20 +56,7 @@ __all__ = [
     "tait",
     "mirror",
     "is_reduced",
-    "classify",
-    "EdgePartition",
-    "checkerboard_states",
-    "state_circles",
-    "segment_self_touch",
 ]
-
-
-class PDParseError(ValueError):
-    """Malformed PD input; carries the offending token when known."""
-
-
-class VerificationError(RuntimeError):
-    """An internal cross-check or certificate failed; indicates a bug."""
 
 
 class ColoringError(ValueError):
@@ -78,8 +66,7 @@ class ColoringError(ValueError):
 _TOKEN = re.compile(r"[Xx]\s*[\[\(]([^\]\)]*)[\]\)]")
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(_Frozen):
     """A link diagram as a crossing list, plus coloring bookkeeping.
 
     A crossing listed from either end of its under-strand is the same
@@ -95,15 +82,12 @@ class LinkDiagram:
     it.
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    outer_arc: int | None = None
-    swap_colors: bool | None = None
+    _fields = ("crossings", "outer_arc", "swap_colors")
 
-    def __post_init__(self):
-        normalized = tuple(
-            min(cr, (cr[2], cr[3], cr[0], cr[1])) for cr in self.crossings
-        )
-        object.__setattr__(self, "crossings", normalized)
+    def __init__(self, crossings: Iterable[tuple[int, int, int, int]],
+                 outer_arc: int | None = None, swap_colors: bool | None = None):
+        normalized = tuple(min(cr, (cr[2], cr[3], cr[0], cr[1])) for cr in crossings)
+        super().__init__(crossings=normalized, outer_arc=outer_arc, swap_colors=swap_colors)
 
     @property
     def n_crossings(self) -> int:
@@ -228,8 +212,7 @@ class LinkDiagram:
         return g
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """A choice of resolution ('A' or 'B') for every crossing / edge label."""
 
     items: tuple[tuple[object, str], ...]
@@ -240,10 +223,6 @@ class State:
             if v not in ("A", "B"):
                 raise ValueError(f"resolution must be 'A' or 'B', got {v!r}")
         return cls(tuple(sorted(d.items(), key=lambda kv: label_sort_key(kv[0]))))
-
-    @classmethod
-    def uniform(cls, keys: Iterable, res: str) -> "State":
-        return cls.from_dict({k: res for k in keys})
 
     def resolution(self, key) -> str:
         for k, v in self.items:
@@ -295,8 +274,8 @@ def parse_pd(text: str, outer_arc: int | None = None) -> LinkDiagram:
     return d
 
 
-def load_diagram_json(text: str) -> LinkDiagram:
-    doc = json.loads(text)
+def load_diagram_json(doc) -> LinkDiagram:
+    """The diagram of a parsed diagram JSON document."""
     if not isinstance(doc, dict):
         raise PDParseError("malformed diagram JSON: expected an object")
     crossings = doc.get("crossings")
@@ -440,112 +419,3 @@ def is_reduced(d: LinkDiagram) -> bool:
 
 def nugatory_crossings(d: LinkDiagram) -> list[int]:
     return [ci for ci in range(d.n_crossings) if len(set(d.corner_faces[ci])) < 4]
-
-
-# ---------------------------------------------------------------------------
-# states
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgePartition:
-    """Tait edges split by (sign, resolution) under a state.
-
-    ``selected`` collects the positive A-resolved and negative B-resolved
-    edges: the subset whose restriction/contraction behaviour decides
-    adequacy.  ``complement`` is the subset belonging to the dual state.
-    """
-
-    plus_a: frozenset
-    plus_b: frozenset
-    minus_a: frozenset
-    minus_b: frozenset
-
-    @property
-    def selected(self) -> frozenset:
-        return self.plus_a | self.minus_b
-
-    @property
-    def complement(self) -> frozenset:
-        return self.plus_b | self.minus_a
-
-
-def classify(d: LinkDiagram, g: SignedMap, corr: Mapping[int, int], s: State) -> EdgePartition:
-    """Partition the Tait edges into (+,A), (+,B), (-,A), (-,B) classes."""
-    buckets: dict[str, set] = {"+A": set(), "+B": set(), "-A": set(), "-B": set()}
-    for ci in range(d.n_crossings):
-        lab = corr[ci]
-        sgn = "+" if g.sign(lab) > 0 else "-"
-        buckets[sgn + s.resolution(ci)].add(lab)
-    return EdgePartition(
-        plus_a=frozenset(buckets["+A"]),
-        plus_b=frozenset(buckets["+B"]),
-        minus_a=frozenset(buckets["-A"]),
-        minus_b=frozenset(buckets["-B"]),
-    )
-
-
-def checkerboard_states(d: LinkDiagram, g: SignedMap, corr: Mapping[int, int]) -> tuple[State, State]:
-    """(black, white) checkerboard states.
-
-    The black state's circles bound the black regions, which forces positive
-    crossings to be B-resolved and negative ones A-resolved; the white state
-    is its dual.
-    """
-    black = State.from_dict({
-        ci: ("B" if g.sign(corr[ci]) > 0 else "A") for ci in range(d.n_crossings)
-    })
-    return black, black.dual()
-
-
-def _resolution_joins(cr_index: int, res: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    if res == "A":
-        return ((_slot(cr_index, 0), _slot(cr_index, 1)), (_slot(cr_index, 2), _slot(cr_index, 3)))
-    return ((_slot(cr_index, 1), _slot(cr_index, 2)), (_slot(cr_index, 3), _slot(cr_index, 0)))
-
-
-def _circle_structure(d: LinkDiagram, s: State):
-    """(count, slot -> circle id) for the fully resolved diagram."""
-    n = d.n_crossings
-    dsu = _DSU(4 * n)
-    for e in d.projection.edges:
-        dsu.union(e.half_a, e.half_b)
-    for ci in range(n):
-        for a, b in _resolution_joins(ci, s.resolution(ci)):
-            dsu.union(a, b)
-    roots: dict[int, int] = {}
-    assign = []
-    for slot in range(4 * n):
-        r = dsu.find(slot)
-        roots.setdefault(r, len(roots))
-        assign.append(roots[r])
-    return len(roots), tuple(assign)
-
-
-def state_circles(d: LinkDiagram, s: State) -> tuple[int, tuple[frozenset, ...]]:
-    """Circle count and the partition of arcs into circles."""
-    if not d.crossings:
-        return 1, (frozenset(),)
-    count, assign = _circle_structure(d, s)
-    groups: dict[int, set] = {}
-    for e in d.projection.edges:
-        groups.setdefault(assign[e.half_a], set()).add(e.label)
-    circles = tuple(frozenset(g) for _, g in sorted(groups.items()))
-    return count, circles
-
-
-def segment_self_touch(d: LinkDiagram, s: State) -> frozenset:
-    """Crossings whose resolution segment joins a state circle to itself.
-
-    Empty exactly when the diagram is adequate with respect to the state;
-    this is the definitional oracle for the graph-side adequacy tests.
-    """
-    if not d.crossings:
-        return frozenset()
-    _, assign = _circle_structure(d, s)
-    bad = set()
-    for ci in range(d.n_crossings):
-        (a1, _), (a2, _) = _resolution_joins(ci, s.resolution(ci))
-        if assign[a1] == assign[a2]:
-            bad.add(ci)
-    return frozenset(bad)

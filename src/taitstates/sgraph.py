@@ -15,15 +15,15 @@ use and kept on the map.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Edge",
     "SignedMap",
     "UnknownEdgeError",
     "DisconnectedError",
+    "PDParseError",
+    "VerificationError",
     "restrict",
     "contract",
     "components",
@@ -50,8 +50,15 @@ class DisconnectedError(ValueError):
     """Raised by operations that require a connected map."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class PDParseError(ValueError):
+    """Malformed input, PD text or JSON; names the offending token when known."""
+
+
+class VerificationError(RuntimeError):
+    """An internal cross-check or certificate failed; indicates a bug."""
+
+
+class Edge(NamedTuple):
     half_a: int
     half_b: int
     sign: int  # +1 or -1
@@ -65,6 +72,38 @@ def label_sort_key(label: Label):
     if isinstance(label, int):
         return (0, label)
     return (1, str(label))
+
+
+class _Frozen:
+    """An immutable value with named ``_fields``: they alone decide ``==``,
+    ``hash`` and ``repr``, so what ``cached_property`` keeps on the value
+    stays outside them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
 class SignedMap:
@@ -445,10 +484,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def from_json(text: str) -> SignedMap:
-    """Parse graph JSON.  Keys other than ``vertices`` and ``edges`` are
-    ignored, among them the unbounded-face marker that older files carry."""
-    doc = json.loads(text)
+def from_json(doc) -> SignedMap:
+    """The map of a parsed graph JSON document.  Keys other than ``vertices``
+    and ``edges`` are ignored, among them the unbounded-face marker that older
+    files carry."""
     if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list) \
             or not isinstance(doc.get("edges"), list):
         raise ValueError("malformed graph JSON: expected an object with "

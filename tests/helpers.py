@@ -13,20 +13,22 @@ import io
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Any
+from typing import Any, Iterable, Mapping
 
 from taitstates.bipoly import BiPoly
 from taitstates.diagram import (
     LinkDiagram,
     State,
+    _slot,
     checkerboard,
-    segment_self_touch,
     tait,
 )
 from taitstates.sgraph import (
     SignedMap,
+    VerificationError,
+    _DSU,
     contract,
     face_of_half,
     faces,
@@ -131,7 +133,7 @@ def diagram_for_graph(g: SignedMap) -> LinkDiagram:
     """
     d0 = medial_pd(g)
     for arc in d0.arcs():
-        d = checkerboard(replace(d0, outer_arc=arc), "canonical")
+        d = checkerboard(LinkDiagram(d0.crossings, arc), "canonical")
         t, _ = tait(d)
         if t.n_vertices == g.n_vertices and graphs_isomorphic(t, g, respect_signs=True):
             return d
@@ -367,7 +369,7 @@ def random_diagram(n_crossings: int, rng: random.Random, reduced_only: bool = Fa
                 continue
         d0 = medial_pd(g)
         arc = min(d0.arcs())
-        d = checkerboard(replace(d0, outer_arc=arc), "canonical")
+        d = checkerboard(LinkDiagram(d0.crossings, arc), "canonical")
         if reduced_only and not is_reduced(d):
             continue
         return d
@@ -474,7 +476,7 @@ def kook_sum(g: SignedMap, engine: TutteEngine | None = None, cap: int = 14) -> 
 def dual_symmetry_check(g: SignedMap, engine: TutteEngine | None = None) -> bool:
     """True iff the dual's polynomial equals the original with x and y swapped."""
     eng = engine or TutteEngine()
-    return eng.tutte(planar_dual(g)) == eng.tutte(g).swap_vars()
+    return eng.tutte(planar_dual(g)) == swap_vars(eng.tutte(g))
 
 
 def _graph_profile(g: SignedMap, respect_signs: bool):
@@ -622,6 +624,168 @@ def _has_bridge(nv: int, eu: list[int], ev: list[int], mask: int) -> bool:
                     if low[v] > disc[pv]:
                         return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# polynomial and state shorthands the checks read
+# ---------------------------------------------------------------------------
+
+
+def t_poly(coeffs: Iterable[int]) -> BiPoly:
+    """Univariate polynomial from ascending coefficients [c0, c1, ...]."""
+    return BiPoly({(i, 0): c for i, c in enumerate(coeffs)})
+
+
+def swap_vars(p: BiPoly) -> BiPoly:
+    """``p`` with x and y exchanged."""
+    return BiPoly({(j, i): c for (i, j), c in p.terms()})
+
+
+def nonnegative(p: BiPoly) -> bool:
+    return all(c > 0 for _, c in p.terms())
+
+
+def uniform_state(keys: Iterable, res: str) -> State:
+    return State.from_dict({k: res for k in keys})
+
+
+# ---------------------------------------------------------------------------
+# the diagram-side segment oracle: states, state circles, self-touching
+# segments, and the state of an edge subset
+# ---------------------------------------------------------------------------
+
+
+
+
+@dataclass(frozen=True)
+class EdgePartition:
+    """Tait edges split by (sign, resolution) under a state.
+
+    ``selected`` collects the positive A-resolved and negative B-resolved
+    edges: the subset whose restriction/contraction behaviour decides
+    adequacy.  ``complement`` is the subset belonging to the dual state.
+    """
+
+    plus_a: frozenset
+    plus_b: frozenset
+    minus_a: frozenset
+    minus_b: frozenset
+
+    @property
+    def selected(self) -> frozenset:
+        return self.plus_a | self.minus_b
+
+    @property
+    def complement(self) -> frozenset:
+        return self.plus_b | self.minus_a
+
+
+def classify(d: LinkDiagram, g: SignedMap, corr: Mapping[int, int], s: State) -> EdgePartition:
+    """Partition the Tait edges into (+,A), (+,B), (-,A), (-,B) classes."""
+    buckets: dict[str, set] = {"+A": set(), "+B": set(), "-A": set(), "-B": set()}
+    for ci in range(d.n_crossings):
+        lab = corr[ci]
+        sgn = "+" if g.sign(lab) > 0 else "-"
+        buckets[sgn + s.resolution(ci)].add(lab)
+    return EdgePartition(
+        plus_a=frozenset(buckets["+A"]),
+        plus_b=frozenset(buckets["+B"]),
+        minus_a=frozenset(buckets["-A"]),
+        minus_b=frozenset(buckets["-B"]),
+    )
+
+
+def checkerboard_states(d: LinkDiagram, g: SignedMap, corr: Mapping[int, int]) -> tuple[State, State]:
+    """(black, white) checkerboard states.
+
+    The black state's circles bound the black regions, which forces positive
+    crossings to be B-resolved and negative ones A-resolved; the white state
+    is its dual.
+    """
+    black = State.from_dict({
+        ci: ("B" if g.sign(corr[ci]) > 0 else "A") for ci in range(d.n_crossings)
+    })
+    return black, black.dual()
+
+
+def _resolution_joins(cr_index: int, res: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    if res == "A":
+        return ((_slot(cr_index, 0), _slot(cr_index, 1)), (_slot(cr_index, 2), _slot(cr_index, 3)))
+    return ((_slot(cr_index, 1), _slot(cr_index, 2)), (_slot(cr_index, 3), _slot(cr_index, 0)))
+
+
+def _circle_structure(d: LinkDiagram, s: State):
+    """(count, slot -> circle id) for the fully resolved diagram."""
+    n = d.n_crossings
+    dsu = _DSU(4 * n)
+    for e in d.projection.edges:
+        dsu.union(e.half_a, e.half_b)
+    for ci in range(n):
+        for a, b in _resolution_joins(ci, s.resolution(ci)):
+            dsu.union(a, b)
+    roots: dict[int, int] = {}
+    assign = []
+    for slot in range(4 * n):
+        r = dsu.find(slot)
+        roots.setdefault(r, len(roots))
+        assign.append(roots[r])
+    return len(roots), tuple(assign)
+
+
+def state_circles(d: LinkDiagram, s: State) -> tuple[int, tuple[frozenset, ...]]:
+    """Circle count and the partition of arcs into circles."""
+    if not d.crossings:
+        return 1, (frozenset(),)
+    count, assign = _circle_structure(d, s)
+    groups: dict[int, set] = {}
+    for e in d.projection.edges:
+        groups.setdefault(assign[e.half_a], set()).add(e.label)
+    circles = tuple(frozenset(g) for _, g in sorted(groups.items()))
+    return count, circles
+
+
+def segment_self_touch(d: LinkDiagram, s: State) -> frozenset:
+    """Crossings whose resolution segment joins a state circle to itself.
+
+    Empty exactly when the diagram is adequate with respect to the state;
+    this is the definitional oracle for the graph-side adequacy tests.
+    """
+    if not d.crossings:
+        return frozenset()
+    _, assign = _circle_structure(d, s)
+    bad = set()
+    for ci in range(d.n_crossings):
+        (a1, _), (a2, _) = _resolution_joins(ci, s.resolution(ci))
+        if assign[a1] == assign[a2]:
+            bad.add(ci)
+    return frozenset(bad)
+
+
+def state_from_partition(g: SignedMap, edge_subset: Iterable,
+                         d: LinkDiagram | None = None,
+                         corr: Mapping | None = None) -> State:
+    """The unique state whose edge subset is ``edge_subset``.
+
+    Positive edges inside are A-resolved, negative inside B-resolved,
+    positive outside B-resolved, negative outside A-resolved.  When the
+    diagram and correspondence are supplied the result is keyed by crossing
+    and the round trip through ``classify`` is checked.
+    """
+    edge_subset = g.check_edge_set(edge_subset)
+    by_label = {}
+    for lab in g.labels():
+        positive = g.sign(lab) > 0
+        inside = lab in edge_subset
+        by_label[lab] = "A" if positive == inside else "B"
+    if d is None:
+        return State.from_dict(by_label)
+    if corr is None:
+        raise ValueError("corr is required along with the diagram")
+    state = State.from_dict({ci: by_label[corr[ci]] for ci in range(d.n_crossings)})
+    back = classify(d, g, corr, state)
+    if back.selected != edge_subset:
+        raise VerificationError("partition/state round trip failed")
+    return state
 
 
 def homogeneity_oracle(d: LinkDiagram, s: State) -> bool:

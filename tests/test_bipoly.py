@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from taitstates.bipoly import BiPoly
 
+from helpers import swap_vars, t_poly
+
 
 def poly_from(entries):
     return BiPoly({(i, j): c for (i, j), c in entries.items()})
@@ -43,8 +45,8 @@ class TestArithmetic:
         assert p * BiPoly.one() == p
 
     def test_hopf_cube(self):
-        two_t = BiPoly.t_poly([0, 2])
-        assert two_t * two_t * two_t == BiPoly.t_poly([0, 0, 0, 8])
+        two_t = t_poly([0, 2])
+        assert two_t * two_t * two_t == t_poly([0, 0, 0, 8])
 
     @given(small_polys, small_polys)
     def test_add_commutes(self, p, q):
@@ -73,13 +75,13 @@ class TestArithmetic:
 class TestSpecialize:
     def test_cycle_x_to_zero(self):
         # only the bare y term survives, renamed to t
-        assert cycle_poly(5).specialize("x_to_zero") == BiPoly.t_poly([0, 1])
+        assert cycle_poly(5).specialize("x_to_zero") == t_poly([0, 1])
 
     def test_cycle_y_to_zero(self):
-        assert cycle_poly(5).specialize("y_to_zero") == BiPoly.t_poly([0, 1, 1, 1, 1])
+        assert cycle_poly(5).specialize("y_to_zero") == t_poly([0, 1, 1, 1, 1])
 
     def test_cycle_diagonal(self):
-        assert cycle_poly(5).specialize("x_equals_y") == BiPoly.t_poly([0, 2, 1, 1, 1])
+        assert cycle_poly(5).specialize("x_equals_y") == t_poly([0, 2, 1, 1, 1])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -99,11 +101,13 @@ class TestEval:
         assert BiPoly.zero().eval(13, -7) == 0
 
     def test_coefficient_sum(self):
-        p = BiPoly.t_poly([0, 6, 33, 62, 48, 16, 2])
+        p = t_poly([0, 6, 33, 62, 48, 16, 2])
         assert p.eval(1, 1) == 167
 
     def test_big_integers(self):
-        p = BiPoly.t_poly([0, 1]) ** 100
+        p = BiPoly.one()
+        for _ in range(100):
+            p = p * t_poly([0, 1])
         assert p.eval(3, 0) == 3**100
 
 
@@ -119,13 +123,13 @@ class TestRendering:
         assert BiPoly.zero().render() == "0"
 
     def test_render_t(self):
-        p = BiPoly.t_poly([0, 6, 33, 62, 48, 16, 2])
+        p = t_poly([0, 6, 33, 62, 48, 16, 2])
         assert p.render_t() == "2 t^6 + 16 t^5 + 48 t^4 + 62 t^3 + 33 t^2 + 6 t"
 
     def test_t_coeffs(self):
-        assert BiPoly.t_poly([0, 2, 1]).t_coeffs() == [0, 2, 1]
+        assert t_poly([0, 2, 1]).t_coeffs() == [0, 2, 1]
         with pytest.raises(ValueError):
             BiPoly.y().t_coeffs()
 
     def test_swap_vars(self):
-        assert cycle_poly(4).swap_vars() == BiPoly({(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 0): 1})
+        assert swap_vars(cycle_poly(4)) == BiPoly({(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 0): 1})

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 
@@ -10,8 +11,6 @@ from taitstates.diagram import (
     PDParseError,
     State,
     checkerboard,
-    checkerboard_states,
-    classify,
     is_reduced,
     load_diagram_json,
     mirror,
@@ -19,8 +18,6 @@ from taitstates.diagram import (
     parse_pd,
     region_count,
     outer_region,
-    segment_self_touch,
-    state_circles,
     tait,
 )
 from taitstates.sgraph import DisconnectedError, classify_edges, components, restrict
@@ -28,6 +25,8 @@ from taitstates.sgraph import DisconnectedError, classify_edges, components, res
 from helpers import (
     adequacy_oracle,
     all_states,
+    checkerboard_states,
+    classify,
     crossing_change,
     cycle_graph,
     diagram_to_json,
@@ -35,7 +34,10 @@ from helpers import (
     graphs_isomorphic,
     hopf_sum_diagram,
     random_diagram,
+    segment_self_touch,
+    state_circles,
     torus2n_diagram,
+    uniform_state,
 )
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -77,7 +79,7 @@ class TestParsing:
 
     def test_json_round_trip(self):
         d = checkerboard(parse_pd(TREFOIL))
-        d2 = load_diagram_json(diagram_to_json(d))
+        d2 = load_diagram_json(json.loads(diagram_to_json(d)))
         assert d2 == d
 
     def test_bad_outer_arc(self):
@@ -179,11 +181,11 @@ class TestMirror:
             d = random_diagram(rng.randint(2, 6), rng)
             dm = mirror(d)
             n = d.n_crossings
-            a_d = adequacy_oracle(d, State.uniform(range(n), "A"))
-            b_dm = adequacy_oracle(dm, State.uniform(range(n), "B"))
+            a_d = adequacy_oracle(d, uniform_state(range(n), "A"))
+            b_dm = adequacy_oracle(dm, uniform_state(range(n), "B"))
             assert a_d == b_dm
-            b_d = adequacy_oracle(d, State.uniform(range(n), "B"))
-            a_dm = adequacy_oracle(dm, State.uniform(range(n), "A"))
+            b_d = adequacy_oracle(d, uniform_state(range(n), "B"))
+            a_dm = adequacy_oracle(dm, uniform_state(range(n), "A"))
             assert b_d == a_dm
 
 
@@ -236,7 +238,7 @@ class TestStates:
         for _ in range(10):
             d = random_diagram(rng.randint(2, 7), rng)
             g, corr = tait(d)
-            part = classify(d, g, corr, State.uniform(range(d.n_crossings), "A"))
+            part = classify(d, g, corr, uniform_state(range(d.n_crossings), "A"))
             assert part.selected == g.positive_labels()
 
     def test_dual_state_complements(self):
@@ -255,7 +257,7 @@ class TestStates:
             g, corr = tait(d)
             black, white = checkerboard_states(d, g, corr)
             n = d.n_crossings
-            extremes = {State.uniform(range(n), "A"), State.uniform(range(n), "B")}
+            extremes = {uniform_state(range(n), "A"), uniform_state(range(n), "B")}
             assert {black, white} == extremes
 
 
@@ -265,13 +267,13 @@ class TestStateCircles:
 
     def test_trefoil_counts(self):
         d = checkerboard(parse_pd(TREFOIL))
-        n_a, _ = state_circles(d, State.uniform(range(3), "A"))
-        n_b, _ = state_circles(d, State.uniform(range(3), "B"))
+        n_a, _ = state_circles(d, uniform_state(range(3), "A"))
+        n_b, _ = state_circles(d, uniform_state(range(3), "B"))
         assert {n_a, n_b} == {2, 3}  # reduced alternating: |sA| + |sB| = n + 2
 
     def test_figure8_all_a(self):
         d = checkerboard(parse_pd(FIG8))
-        s = State.uniform(range(4), "A")
+        s = uniform_state(range(4), "A")
         cnt, circles = state_circles(d, s)
         g, corr = tait(d)
         part = classify(d, g, corr, s)
@@ -320,7 +322,7 @@ class TestSelfTouch:
 
     def test_figure8_all_a_adequate(self):
         d = checkerboard(parse_pd(FIG8))
-        assert segment_self_touch(d, State.uniform(range(4), "A")) == frozenset()
+        assert segment_self_touch(d, uniform_state(range(4), "A")) == frozenset()
 
     def test_trefoil_mixed_states_touch(self):
         d = checkerboard(parse_pd(TREFOIL))

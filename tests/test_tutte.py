@@ -22,8 +22,11 @@ from helpers import (
     dual_symmetry_check,
     fat_cycle,
     kook_sum,
+    nonnegative,
     random_bridgeless_map,
     random_planar_map,
+    swap_vars,
+    t_poly,
     theta_graph,
     tutte_oracle,
 )
@@ -95,7 +98,7 @@ class TestEngine:
         rng = random.Random(7)
         for trial in range(60):
             g = random_multigraph(rng)
-            assert tutte(g).nonnegative() or tutte(g).is_zero(), trial
+            assert nonnegative(tutte(g)) or tutte(g).is_zero(), trial
 
     def test_oracle_cap(self):
         with pytest.raises(CapExceededError):
@@ -139,8 +142,8 @@ class TestSpecializations:
                                                [(0, 1, +1, "b"), (2, 3, +1, "l")]))
         assert eng.evaluate(bridge_and_loop, X_ZERO).is_zero()
         assert eng.evaluate(bridge_and_loop, Y_ZERO).is_zero()
-        assert eng.evaluate(_mgraph_of(cycle_graph(4)), X_ZERO) == BiPoly.t_poly([0, 1])
-        assert eng.evaluate(_mgraph_of(cycle_graph(4)), Y_ZERO) == BiPoly.t_poly([0, 1, 1, 1])
+        assert eng.evaluate(_mgraph_of(cycle_graph(4)), X_ZERO) == t_poly([0, 1])
+        assert eng.evaluate(_mgraph_of(cycle_graph(4)), Y_ZERO) == t_poly([0, 1, 1, 1])
 
 
 def inflated_multigraph(rng, max_e=14):
@@ -211,7 +214,7 @@ class TestClassSplits:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bond_formula(self, n):
-        assert tutte(theta_graph([1] * n)) == cycle_poly(n).swap_vars()
+        assert tutte(theta_graph([1] * n)) == swap_vars(cycle_poly(n))
 
     @pytest.mark.parametrize("g, classes", [
         (theta_graph([3] * 8), 8), (fat_cycle([3] * 8), 8),
@@ -274,7 +277,7 @@ class TestSpanningTrees:
 
 class TestKookSum:
     def test_double_edge(self):
-        assert kook_sum(cycle_graph(2)) == BiPoly.t_poly([0, 2])
+        assert kook_sum(cycle_graph(2)) == t_poly([0, 2])
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cycle(self, n):
@@ -299,7 +302,7 @@ class TestKookSum:
 
 class TestDualSymmetry:
     def test_cycle_vs_multiedge(self):
-        assert tutte(planar_dual(cycle_graph(3))) == cycle_poly(3).swap_vars()
+        assert tutte(planar_dual(cycle_graph(3))) == swap_vars(cycle_poly(3))
 
     def test_double_edge_self_dual(self):
         assert dual_symmetry_check(cycle_graph(2))
