@@ -6,12 +6,15 @@ Two tables, each drawn from its own ``random.Random(seed)`` by
 
 * ``enumerate_adequate`` on one map per size m = 16..40, with the edge cap
   raised to m.  ``states`` is the number of adequate states.  ``search`` is
-  ``cyclic_flat_masks`` alone; ``polys`` is the rest of
-  the enumeration (per-state polynomials, diagonal certificate, records),
-  the whole ``enumerate_adequate`` call minus a separate timing of the
-  search.  ``render`` is ``report_to_json`` on the enumeration's report.
-  ``memo`` is the number of entries the enumeration's fresh Tutte engine
-  ends with, and ``memo/st`` that number per state.
+  the search alone, ``cyclic_flat_leaves`` drained with each leaf's
+  classes; ``polys`` is the rest of the enumeration (per-state polynomials,
+  diagonal certificate, records), the whole ``enumerate_adequate`` call
+  minus a separate timing of the search.  ``render`` is ``report_to_json``
+  on the enumeration's report.  ``factors`` is the number of calls the
+  enumeration makes to its Tutte engine's ``evaluate``, not counting the
+  engine's calls to itself: one per class whose T(0, t) it has not yet
+  evaluated.  ``memo`` is the number of entries the enumeration's fresh
+  Tutte engine ends with, and ``memo/st`` that number per state.
 * ``tutte`` with a fresh engine, the work of one ``taitstates tutte`` call,
   on four maps per size m = 20, 24, ..., 36 with the vertex count pinned at
   m/2 + 1.  ``memo`` is the number of entries the engine ends with.
@@ -33,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from helpers import random_bridgeless_map  # noqa: E402
 from taitstates import TutteEngine, enumerate_adequate  # noqa: E402
 from taitstates.adequacy import report_to_json  # noqa: E402
-from taitstates._scan import cyclic_flat_masks  # noqa: E402
+from taitstates._scan import cyclic_flat_leaves  # noqa: E402
 
 
 class OverBudget(Exception):
@@ -42,6 +45,23 @@ class OverBudget(Exception):
 
 def _on_alarm(signum, frame):
     raise OverBudget
+
+
+class CountingEngine:
+    """A Tutte engine that counts the ``evaluate`` calls made to it from
+    outside; the recursion inside calls the engine it wraps."""
+
+    def __init__(self):
+        self.inner = TutteEngine()
+        self.cache = self.inner.cache
+        self.factors = 0
+
+    def evaluate(self, mg, mode):
+        self.factors += 1
+        return self.inner.evaluate(mg, mode)
+
+    def tutte(self, g):
+        return self.inner.tutte(g)
 
 
 def _timed(fn, budget: float):
@@ -60,20 +80,20 @@ def _timed(fn, budget: float):
 def search_table(seed: int, budget: float) -> None:
     rng = random.Random(seed)
     print(f"{'edges':>6} {'vertices':>9} {'states':>7} {'search':>9} {'polys':>9} "
-          f"{'render':>9} {'memo':>7} {'memo/st':>8}")
+          f"{'render':>9} {'factors':>8} {'memo':>7} {'memo/st':>8}")
     for m in range(16, 41):
         g = random_bridgeless_map(m, rng)
-        masks, t_search = _timed(lambda: cyclic_flat_masks(g), budget)
-        eng = TutteEngine()
+        leaves, t_search = _timed(lambda: sum(1 for _ in cyclic_flat_leaves(g)), budget)
+        eng = CountingEngine()
         report, t_total = _timed(lambda: enumerate_adequate(g, eng, max_edges=m), budget)
-        if masks is None or report is None:
+        if leaves is None or report is None:
             print(f"{m:>6} {g.n_vertices:>9} {'-':>7}  over budget")
             continue
         text, t_render = _timed(lambda: report_to_json(report), budget)
         render = "-" if text is None else f"{t_render:.4f}s"
         print(f"{m:>6} {g.n_vertices:>9} {report.count:>7} "
               f"{t_search:>8.4f}s {t_total - t_search:>8.4f}s {render:>9} "
-              f"{len(eng.cache):>7} {len(eng.cache) / report.count:>8.2f}")
+              f"{eng.factors:>8} {len(eng.cache):>7} {len(eng.cache) / report.count:>8.2f}")
 
 
 def tutte_table(seed: int, budget: float) -> None:

@@ -20,16 +20,26 @@ is passed over without branching, and a conflict-free leaf is ``S = VC``.
 Edges are decided in breadth-first order from vertex 0, which closes cycles
 early.  The duality needs genus zero: callers check ``euler_genus_ok``
 first.
+
+At a leaf the class masks are the state's structure, and the search yields
+them with S: each vertex class, cut down to S, is the edge set of a
+component of G|S, and each face class, cut down to the edges outside S, is
+the edge set of a component of the dual restricted to them.  ``classes``
+walks the same way for one given subset, with every decision fixed by it.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .sgraph import DisconnectedError, SignedMap, face_of_half, faces
 
 
-def cyclic_flat_masks(g: SignedMap) -> list[int]:
-    """Every adequate subset of the connected spherical map ``g``, as
-    ascending bitmasks over ``g.edges``."""
+def _walk(g: SignedMap):
+    """What the search starts from: the edges in breadth-first order from
+    vertex 0, each as (bit, vertex, vertex, face, face); each vertex's and
+    each face's incident-edge mask; the loops, which S must hold; and the
+    edges with one face on both sides, the bridges, which S must leave out."""
     foh = face_of_half(g)
     bits = {}  # half-edge -> the bit of its edge
     for i, e in enumerate(g.edges):
@@ -57,9 +67,16 @@ def cyclic_flat_masks(g: SignedMap) -> list[int]:
                 queue.append(v)
     if len(steps) < g.n_edges:
         raise DisconnectedError("the search needs a connected map")
-    order = list(steps.values())
+    return list(steps.values()), vinc, finc, vc, fc
+
+
+def cyclic_flat_leaves(g: SignedMap) -> Iterator[tuple[int, set[int], set[int]]]:
+    """Every adequate subset S of the connected spherical map ``g``, in no
+    fixed order, as ``(S, vertex classes, face classes)``: S as a bitmask
+    over ``g.edges``, the edge masks of the components of G|S, and the edge
+    masks of the components of the dual restricted to the edges outside S."""
+    order, vinc, finc, vc, fc = _walk(g)
     m = len(order)
-    out: list[int] = []
 
     # depth-first with an explicit stack, so the depth is not bounded by the
     # interpreter's recursion limit.  A frame is a live node: the next step
@@ -74,7 +91,7 @@ def cyclic_flat_masks(g: SignedMap) -> list[int]:
         while pos < m and closed & order[pos][0]:
             pos += 1
         if pos == m:
-            out.append(vc)
+            yield vc, {x & vc for x in vinc} - {0}, {x & ~vc for x in finc} - {0}
             continue
         bit, u, v, f, h = order[pos]
         pos += 1
@@ -86,4 +103,16 @@ def cyclic_flat_masks(g: SignedMap) -> list[int]:
         if not a & b & vc:
             ab = a | b
             stack.append((pos, vc, fc | a & b, vinc, [ab if x & bit else x for x in finc]))
-    return sorted(out)
+
+
+def classes(g: SignedMap, mask: int) -> tuple[set[int], set[int]]:
+    """The vertex and face classes of any subset ``mask`` of the connected
+    map ``g``, as ``cyclic_flat_leaves`` gives them for an adequate one: the
+    same walk with each edge taken in when it is in ``mask`` and left out
+    otherwise."""
+    order, vinc, finc, _, _ = _walk(g)
+    for bit, u, v, f, h in order:
+        inc, a, b = (vinc, u, v) if mask & bit else (finc, f, h)
+        ab = inc[a] | inc[b]
+        inc[:] = [ab if x & bit else x for x in inc]
+    return {x & mask for x in vinc} - {0}, {x & ~mask for x in finc} - {0}

@@ -11,9 +11,18 @@ between 2 and the spanning-tree count.  The enumeration below leans on all
 three facts: the search finds the subsets, the products certify them, and
 the diagonal sum certifies completeness of the search.
 
+A state's structure is read once, as its classes: the edge sets of the
+components of G|S (vertex classes) and of the components of the dual
+restricted to the edges outside S (face classes).  The search yields them
+at each leaf, and ``classes`` gives them for any one subset.  The state's
+polynomial T(G|S; 0, t) * T(G/S; t, 0) is the product of T(0, t) over its
+classes, since on the sphere T(G/S; t, 0) = T(G*|(E - S); 0, t), and each
+class's factor is evaluated once per map.
+
 Homogeneous adequacy adds sign-purity constraints: per component of the
 restriction, and per face of the embedded restriction, the unbounded one
-included, so the answer depends on the state alone.
+included, so the answer depends on the state alone.  These are the same
+classes: a state is homogeneous when no class holds edges of both signs.
 """
 
 from __future__ import annotations
@@ -21,15 +30,14 @@ from __future__ import annotations
 import io
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from ._scan import cyclic_flat_masks
+from ._scan import classes, cyclic_flat_leaves
 from .bipoly import BiPoly
 from .sgraph import (
     DisconnectedError,
     SignedMap,
     VerificationError,
-    _DSU,
     _Frozen,
     classify_edges,
     contract,
@@ -39,7 +47,7 @@ from .sgraph import (
     is_connected,
     restrict,
 )
-from .tutte import X_ZERO, Y_ZERO, CapExceededError, TutteEngine, _mgraph_of
+from .tutte import X_ZERO, CapExceededError, TutteEngine, _mgraph_of
 
 if TYPE_CHECKING:
     from .diagram import State
@@ -90,41 +98,58 @@ def adequate_by_partition(g: SignedMap, edge_subset: Iterable) -> bool:
     return not any(contracted.is_loop(lab) for lab in contracted.labels())
 
 
-def adequacy_polynomial(g: SignedMap | tuple, edge_subset: Iterable | int,
+def _require_plane(g: SignedMap) -> None:
+    _require_connected(g)
+    if g.n_edges == 0:
+        raise ValueError("graph must have at least one edge")
+    if not euler_genus_ok(g):
+        raise ValueError("map is not spherical (v - e + f != 2); "
+                         "adequate states need a plane map")
+
+
+def adequacy_polynomial(g: SignedMap, edge_subset: Iterable,
                         engine: TutteEngine | None = None) -> BiPoly:
     """Product of the restriction polynomial at x=0 with the contraction
     polynomial at y=0; univariate in t, nonzero exactly on adequate subsets.
 
-    ``g`` is a connected map with at least one edge and ``edge_subset`` a
-    set of its labels.  The enumeration instead passes ``_mgraph_of(g)``,
-    checked once for the whole run, and each subset as a bitmask over
-    ``g.edges``.  Both minors are built at index level: G|S keeps
-    the edges of S, and G/S maps the other edges through a union-find over
-    the components of S.
+    ``g`` is a connected plane map with at least one edge and
+    ``edge_subset`` a set of its labels.  The contraction polynomial is
+    read on the planar dual, so a map that is not spherical is refused.
     """
-    if isinstance(g, SignedMap):
-        _require_connected(g)
-        if g.n_edges == 0:
-            raise ValueError("graph must have at least one edge")
-        edge_subset = g.check_edge_set(edge_subset)
-        mask = _mask_of(g, edge_subset)
-        mg = _mgraph_of(g)
-    else:
-        mg, mask = g, edge_subset
-    n, edges = mg
-    inside = _DSU(n)
-    kept = []
-    for i, (u, v) in enumerate(edges):
-        if mask >> i & 1:
-            kept.append((u, v))
-            inside.union(u, v)
-    find = inside.find
-    merged = tuple((find(u), find(v)) for i, (u, v) in enumerate(edges) if not mask >> i & 1)
-    eng = engine or TutteEngine()
-    left = eng.evaluate((n, tuple(kept)), X_ZERO)
-    if left.is_zero():
-        return left
-    return left * eng.evaluate((n, merged), Y_ZERO)
+    _require_plane(g)
+    mask = _mask_of(g, g.check_edge_set(edge_subset))
+    return _state_polys(g, engine or TutteEngine())(*classes(g, mask))
+
+
+def _state_polys(g: SignedMap, engine: TutteEngine) -> Callable[[set[int], set[int]], BiPoly]:
+    """The polynomial of a state of the plane map ``g`` from its vertex
+    and face classes: the product of T(0, t) over the classes, each class
+    evaluated once per map.  A vertex class is read on the index graph of
+    ``g``, a face class on that of the dual, whose vertices are faces and
+    whose edge i joins edge i's two faces."""
+    foh = face_of_half(g)
+    n, primal = _mgraph_of(g)
+    dual = tuple((foh[e.half_a], foh[e.half_b]) for e in g.edges)
+    sides = ((n, primal, {}), (len(faces(g)), dual, {}))
+
+    def state_poly(vertex_classes: set[int], face_classes: set[int]) -> BiPoly:
+        poly = BiPoly.one()
+        for (size, edges, factors), masks in zip(sides, (vertex_classes, face_classes)):
+            for x in masks:
+                factor = factors.get(x)
+                if factor is None:
+                    minor = tuple(e for i, e in enumerate(edges) if x >> i & 1)
+                    factor = factors[x] = engine.evaluate((size, minor), X_ZERO)
+                poly = poly * factor
+        return poly
+
+    return state_poly
+
+
+def _sign_pure(negative: int, vertex_classes: set[int], face_classes: set[int]) -> bool:
+    """No class holds both a negative edge and a positive one."""
+    return not any(x & negative and x & ~negative
+                   for masks in (vertex_classes, face_classes) for x in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +256,7 @@ def enumerate_adequate(
     rendered reports are byte-stable.  The map must be spherical: the search
     reads bridges of a restriction as loops of the planar dual.
     """
-    _require_connected(g)
-    if g.n_edges == 0:
-        raise ValueError("graph must have at least one edge")
-    if not euler_genus_ok(g):
-        raise ValueError("map is not spherical (v - e + f != 2); "
-                         "adequate states need a plane map")
+    _require_plane(g)
     if g.n_edges > max_edges:
         raise CapExceededError(
             f"enumeration capped at {max_edges} edges, got {g.n_edges}"
@@ -244,50 +264,52 @@ def enumerate_adequate(
 
     table = _LabelTable.of(g)
     bridges, loops = classify_edges(g)
-    sides = _signed_sides(g) if with_homogeneous else None
-    masks = cyclic_flat_masks(g)
-    full = (1 << g.n_edges) - 1
-    if not bridges and not loops and (0 not in masks or full not in masks):
-        raise VerificationError(
-            "the search missed the empty or the full subset of a reduced map"
-        )
-
+    if with_homogeneous and (bridges or loops):
+        raise ValueError("homogeneity conditions require a reduced graph")
     eng = engine or TutteEngine()
-    mg = _mgraph_of(g)
+    state_poly = _state_polys(g, eng)
     records = []
     total = BiPoly.zero()
-    for mask in masks:
-        poly = adequacy_polynomial(mg, mask, eng)
+    for mask, vertex_classes, face_classes in cyclic_flat_leaves(g):
+        poly = state_poly(vertex_classes, face_classes)
         if poly.is_zero():
             raise VerificationError(
                 f"subset {table.members(mask)} passed the partition "
                 "test but its polynomial vanishes"
             )
-        flag = None if sides is None else _homogeneous(sides, mask)
+        flag = (_sign_pure(table.negative, vertex_classes, face_classes)
+                if with_homogeneous else None)
         records.append(StateRecord(mask, poly, flag, table))
         total = total + poly
-
-    diagonal = eng.tutte(g).specialize("x_equals_y")
+    # by size, then by sorted labels: of two subsets of one size the first
+    # holds the lowest label where they differ, so it has the larger mask
+    # once the bit order is reversed
+    width = f"0{g.n_edges}b"
+    records.sort(key=lambda r: (r.mask.bit_count(), -int(format(r.mask, width)[::-1], 2)))
+    # the count checks count leaves, not distinct masks, so a search that
+    # gives a state twice meets the spanning-tree bound with both copies
+    full = (1 << g.n_edges) - 1
+    if not bridges and not loops and (not records or records[0].mask != 0
+                                      or records[-1].mask != full):
+        raise VerificationError(
+            "the search missed the empty or the full subset of a reduced map"
+        )
     tree_count = _spanning_trees(g)
+    if len(records) > tree_count:
+        raise VerificationError(
+            f"{len(records)} states exceed the spanning-tree count {tree_count}"
+        )
+    diagonal = eng.tutte(g).specialize("x_equals_y")
     if diagonal.eval(1, 1) != tree_count:
         raise VerificationError(
             f"the diagonal counts {diagonal.eval(1, 1)} spanning trees, "
             f"the matrix-tree theorem {tree_count}"
-        )
-    if len(masks) > tree_count:
-        raise VerificationError(
-            f"{len(masks)} states exceed the spanning-tree count {tree_count}"
         )
     verified = total == diagonal
     if not verified:
         raise VerificationError(
             f"state sum {total.render_t()} differs from the diagonal {diagonal.render_t()}"
         )
-    # by size, then by sorted labels: of two subsets of one size the first
-    # holds the lowest label where they differ, so it has the larger mask
-    # once the bit order is reversed
-    width = f"0{g.n_edges}b"
-    records.sort(key=lambda r: (r.mask.bit_count(), -int(format(r.mask, width)[::-1], 2)))
     return AdequacyReport(
         states=tuple(records),
         state_sum=total,
@@ -376,50 +398,16 @@ def homogeneous_adequate(g: SignedMap, edge_subset: Iterable) -> bool:
       contains them are sign-pure per face, the unbounded one included, so
       no face needs to be marked as unbounded.
 
-    Complement edges are located by merging the faces of ``g`` across every
-    deleted edge: after the merge, a deleted edge's two former sides name
-    the face of the restriction containing it.  Requires the map to be
-    reduced (no bridges, no loops).
+    Both groupings are the subset's classes: a complement edge lies in the
+    face of the restriction that its face class merged.  Requires the map
+    to be reduced (no bridges, no loops).
     """
     _require_connected(g)
-    edge_subset = g.check_edge_set(edge_subset)
-    return _homogeneous(_signed_sides(g), _mask_of(g, edge_subset))
-
-
-def _signed_sides(g: SignedMap) -> tuple[int, list[tuple[int, int, int, int, int]]]:
-    """What ``_homogeneous`` reads of the reduced map ``g``: the count of its
-    vertices and faces, and per edge in ``g.edges`` order its two vertices,
-    its two faces (offset by the vertex count) and its sign."""
+    mask = _mask_of(g, g.check_edge_set(edge_subset))
     bridges, loops = classify_edges(g)
     if bridges or loops:
         raise ValueError("homogeneity conditions require a reduced graph")
-    nv = g.n_vertices
-    foh = face_of_half(g)
-    sides = []
-    for e in g.edges:
-        sides.append((g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b),
-                      nv + foh[e.half_a], nv + foh[e.half_b], e.sign))
-    return nv + len(faces(g)), sides
-
-
-def _homogeneous(signed_sides: tuple[int, list], mask: int) -> bool:
-    """``homogeneous_adequate`` for the subset ``mask``, over what
-    ``_signed_sides`` read of the map."""
-    n, sides = signed_sides
-    # one union-find: the components of the restriction on the vertices,
-    # the faces of the embedded restriction on the faces
-    classes = _DSU(n)
-    for i, (u, v, f, h, _) in enumerate(sides):
-        if mask >> i & 1:
-            classes.union(u, v)
-        else:
-            classes.union(f, h)
-    signs: dict[int, int] = {}
-    for i, (u, _, f, _, sign) in enumerate(sides):
-        key = classes.find(u if mask >> i & 1 else f)
-        if signs.setdefault(key, sign) != sign:
-            return False
-    return True
+    return _sign_pure(_mask_of(g, g.negative_labels()), *classes(g, mask))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Tutte polynomial engine: deletion-contraction with block factorization.
 
-One recursion serves the full polynomial and its two one-variable
-specializations.  It multiplies over the blocks of the graph, and a block
-of one edge contributes a fixed value: y for a loop and x for a bridge in
-the full polynomial T(x, y).  At x = 0 a bridge contributes zero and a loop
-t, giving T(0, t); at y = 0 a loop contributes zero and a bridge t, giving
-T(t, 0).  A zero block ends the product before any block is expanded.
-The per-state polynomials of the adequacy layer are T(G|S; 0, t) and
-T(G/S; t, 0) (Kook, Reiner, Stanton, JCTB 76, 1999).
+One recursion serves the full polynomial and its one-variable
+specialization at x = 0.  It multiplies over the blocks of the graph, and a
+block of one edge contributes a fixed value: y for a loop and x for a bridge
+in the full polynomial T(x, y).  At x = 0 a bridge contributes zero and a
+loop t, giving T(0, t).  A zero block ends the product before any block is
+expanded.  The per-state polynomials of the adequacy layer are T(G|S; 0, t)
+and T(G/S; t, 0) (Kook, Reiner, Stanton, JCTB 76, 1999); on a plane map the
+second is T(0, t) of the dual restricted to the edges outside S, so T(0, t)
+serves both.
 
 A block of two or more edges is a bond, a cycle or neither.  A bond of m
 edges is x + y + ... + y^(m-1) and a cycle of m edges y + x + ... +
@@ -55,8 +56,8 @@ class CapExceededError(ValueError):
 # internal multigraph: vertex count + tuple of (u, v) edges in label order
 _MG = tuple
 
-# evaluation modes: T(x, y), T(0, t) and T(t, 0)
-FULL, X_ZERO, Y_ZERO = 0, 1, 2
+# evaluation modes: T(x, y) and T(0, t)
+FULL, X_ZERO = 0, 1
 
 # (loop, bridge) value of a one-edge block per mode, as the exponent pair of
 # a monomial: y is (0, 1), x is (1, 0), and t, which one-variable results
@@ -64,7 +65,6 @@ FULL, X_ZERO, Y_ZERO = 0, 1, 2
 _EDGE_VALUES = {
     FULL: ((0, 1), (1, 0)),
     X_ZERO: ((1, 0), None),
-    Y_ZERO: (None, (1, 0)),
 }
 
 
@@ -115,7 +115,7 @@ class TutteEngine:
     # recursion ----------------------------------------------------------
 
     def evaluate(self, mg: _MG, mode: int) -> BiPoly:
-        """T(x, y), T(0, t) or T(t, 0) of an index-level multigraph, by
+        """T(x, y) or T(0, t) of an index-level multigraph, by
         ``mode``; vertices outside every edge are ignored."""
         n, edges = mg
         loop, bridge = _EDGE_VALUES[mode]

@@ -129,7 +129,6 @@ class TestPolynomial:
         # per-state minors built at index level against SignedMap surgery
         # and the subset-expansion oracle, on every subset of small maps
         from taitstates.sgraph import contract, is_connected, restrict
-        from taitstates.tutte import _mgraph_of
 
         rng = random.Random(83)
         eng = TutteEngine()
@@ -141,14 +140,12 @@ class TestPolynomial:
             tried += 1
             labels = g.sorted_labels()
             adequate = set(brute_adequate_masks(g))
-            mg = _mgraph_of(g)
             for mask in range(1 << len(labels)):
                 subset = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
                 expect = (tutte_oracle(restrict(g, subset)).specialize("x_to_zero")
                           * tutte_oracle(contract(g, subset)).specialize("y_to_zero"))
                 poly = adequacy_polynomial(g, subset, eng)
                 assert poly == expect, (tried, mask)
-                assert adequacy_polynomial(mg, mask, eng) == expect, (tried, mask)
                 assert poly.is_zero() == (mask not in adequate), (tried, mask)
 
 
@@ -201,9 +198,9 @@ class TestEnumeration:
     def test_count_certificate_needs_empty_and_full(self, monkeypatch):
         import taitstates.adequacy as adequacy
 
-        search = adequacy.cyclic_flat_masks
-        monkeypatch.setattr(adequacy, "cyclic_flat_masks",
-                            lambda g: [mask for mask in search(g) if mask != 0])
+        search = adequacy.cyclic_flat_leaves
+        monkeypatch.setattr(adequacy, "cyclic_flat_leaves",
+                            lambda g: (leaf for leaf in search(g) if leaf[0] != 0))
         with pytest.raises(VerificationError, match="empty or the full subset"):
             enumerate_adequate(random_bridgeless_map(10, random.Random(4)))
 
@@ -211,9 +208,38 @@ class TestEnumeration:
         import taitstates.adequacy as adequacy
 
         # C_4 has 4 spanning trees; five copies of its two states exceed them
-        monkeypatch.setattr(adequacy, "cyclic_flat_masks", lambda g: [0, 15] * 5)
+        search = adequacy.cyclic_flat_leaves
+        monkeypatch.setattr(adequacy, "cyclic_flat_leaves", lambda g: list(search(g)) * 5)
         with pytest.raises(VerificationError, match="exceed the spanning-tree count 4"):
             enumerate_adequate(cycle_graph(4))
+
+    def test_each_class_evaluated_once(self):
+        # the engine sees one call per distinct vertex or face class of the
+        # map, however many states share the class
+        from taitstates._scan import cyclic_flat_leaves
+
+        class RecordingEngine:
+            def __init__(self):
+                self.inner = TutteEngine()
+                self.calls = 0
+
+            def evaluate(self, mg, mode):
+                self.calls += 1
+                return self.inner.evaluate(mg, mode)
+
+            def tutte(self, g):
+                return self.inner.tutte(g)
+
+        rng = random.Random(31)
+        for _ in range(6):
+            g = random_bridgeless_map(rng.randint(8, 18), rng)
+            vertex_classes, face_classes = set(), set()
+            for _, vc, fc in cyclic_flat_leaves(g):
+                vertex_classes |= vc
+                face_classes |= fc
+            eng = RecordingEngine()
+            enumerate_adequate(g, eng)
+            assert eng.calls == len(vertex_classes) + len(face_classes)
 
     def test_diagonal_certified_by_matrix_tree_count(self):
         # an engine that doubles T(0, t) and T(x, y) keeps the state sum equal

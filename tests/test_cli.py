@@ -187,11 +187,12 @@ class TestAdequate:
             "edges": [{"halves": [0, 1], "sign": "+", "label": 0},
                       {"halves": [2, 3], "sign": "-", "label": 1}],
         }))
-        code, out, err = run(capsys, "adequate", str(p), "--format", "json", "--verify")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: map is not spherical")
-        assert len(err.strip().splitlines()) == 1
+        for extra in ("--verify", "--ab"):
+            code, out, err = run(capsys, "adequate", str(p), "--format", "json", extra)
+            assert code == 2, extra
+            assert out == ""
+            assert err.startswith("error: map is not spherical")
+            assert len(err.strip().splitlines()) == 1
 
     def test_graph_json_homogeneous_without_outer_face(self, capsys, tmp_path):
         # graph JSON marks no unbounded face, and the flags do not need one

@@ -29,6 +29,7 @@ GONE = [
     "projection_map", "region_colors", "DIAGRAM_CACHE_SIZE", "STATE_CACHE_SIZE",
     "EdgePartition", "classify", "checkerboard_states", "state_circles",
     "segment_self_touch", "state_from_partition",
+    "cyclic_flat_masks", "_signed_sides", "_homogeneous", "Y_ZERO",
 ]
 GONE_METHODS = [
     (BiPoly, "const"), (BiPoly, "coeff"), (BiPoly, "scale"), (BiPoly, "to_json_terms"),

@@ -4,11 +4,10 @@ import random
 import pytest
 
 from taitstates.bipoly import BiPoly
-from taitstates.sgraph import SignedMap, planar_dual
+from taitstates.sgraph import SignedMap, euler_genus_ok, is_connected, planar_dual
 from taitstates.tutte import (
     FULL,
     X_ZERO,
-    Y_ZERO,
     CapExceededError,
     TutteEngine,
     _mgraph_of,
@@ -36,6 +35,15 @@ def cycle_poly(n):
     terms = {(i, 0): 1 for i in range(1, n)}
     terms[(0, 1)] = 1
     return BiPoly(terms)
+
+
+def on_dual(g):
+    """The index graph of the planar dual of ``g`` where ``g`` is connected,
+    spherical and has an edge, else None.  On the sphere T(G; t, 0) is
+    T(G*; 0, t), which is how the adequacy layer reads T(G/S; t, 0)."""
+    if g.n_edges and is_connected(g) and euler_genus_ok(g):
+        return _mgraph_of(planar_dual(g))
+    return None
 
 
 def random_multigraph(rng, max_v=5, max_e=10):
@@ -132,18 +140,18 @@ class TestSpecializations:
             chi = tutte_oracle(g)
             mg = _mgraph_of(g)
             assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
-            assert eng.evaluate(mg, Y_ZERO) == chi.specialize("y_to_zero"), trial
+            if dual := on_dual(g):
+                assert eng.evaluate(dual, X_ZERO) == chi.specialize("y_to_zero"), trial
             assert eng.evaluate(mg, FULL).specialize("x_equals_y") == \
                 chi.specialize("x_equals_y"), trial
 
     def test_zero_blocks(self):
         eng = TutteEngine()
-        bridge_and_loop = _mgraph_of(SignedMap([(0,), (1, 2, 3)],
-                                               [(0, 1, +1, "b"), (2, 3, +1, "l")]))
-        assert eng.evaluate(bridge_and_loop, X_ZERO).is_zero()
-        assert eng.evaluate(bridge_and_loop, Y_ZERO).is_zero()
+        bridge_and_loop = SignedMap([(0,), (1, 2, 3)], [(0, 1, +1, "b"), (2, 3, +1, "l")])
+        assert eng.evaluate(_mgraph_of(bridge_and_loop), X_ZERO).is_zero()
+        assert eng.evaluate(on_dual(bridge_and_loop), X_ZERO).is_zero()
         assert eng.evaluate(_mgraph_of(cycle_graph(4)), X_ZERO) == t_poly([0, 1])
-        assert eng.evaluate(_mgraph_of(cycle_graph(4)), Y_ZERO) == t_poly([0, 1, 1, 1])
+        assert eng.evaluate(on_dual(cycle_graph(4)), X_ZERO) == t_poly([0, 1, 1, 1])
 
 
 def inflated_multigraph(rng, max_e=14):
@@ -210,7 +218,8 @@ class TestClassSplits:
             mg = _mgraph_of(g)
             assert eng.evaluate(mg, FULL) == chi, trial
             assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
-            assert eng.evaluate(mg, Y_ZERO) == chi.specialize("y_to_zero"), trial
+            if dual := on_dual(g):
+                assert eng.evaluate(dual, X_ZERO) == chi.specialize("y_to_zero"), trial
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bond_formula(self, n):
@@ -252,7 +261,8 @@ class TestPastOracleCap:
             mg = _mgraph_of(g)
             chi = eng.evaluate(mg, FULL)
             assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
-            assert eng.evaluate(mg, Y_ZERO) == chi.specialize("y_to_zero"), trial
+            if dual := on_dual(g):
+                assert eng.evaluate(dual, X_ZERO) == chi.specialize("y_to_zero"), trial
 
 
 class TestSpanningTrees:
