@@ -47,7 +47,7 @@ from .sgraph import (
     is_connected,
     restrict,
 )
-from .tutte import X_ZERO, CapExceededError, TutteEngine, _mgraph_of
+from .tutte import X_ZERO, CapExceededError, TutteEngine
 
 if TYPE_CHECKING:
     from .diagram import State
@@ -94,8 +94,7 @@ def adequate_by_partition(g: SignedMap, edge_subset: Iterable) -> bool:
     bridges, _ = classify_edges(restrict(g, edge_subset))
     if bridges:
         return False
-    contracted = contract(g, edge_subset)
-    return not any(contracted.is_loop(lab) for lab in contracted.labels())
+    return not any(u == v for u, v in contract(g, edge_subset).ends)
 
 
 def _require_plane(g: SignedMap) -> None:
@@ -128,9 +127,8 @@ def _state_polys(g: SignedMap, engine: TutteEngine) -> Callable[[set[int], set[i
     ``g``, a face class on that of the dual, whose vertices are faces and
     whose edge i joins edge i's two faces."""
     foh = face_of_half(g)
-    n, primal = _mgraph_of(g)
     dual = tuple((foh[e.half_a], foh[e.half_b]) for e in g.edges)
-    sides = ((n, primal, {}), (len(faces(g)), dual, {}))
+    sides = ((g.n_vertices, g.ends, {}), (len(faces(g)), dual, {}))
 
     def state_poly(vertex_classes: set[int], face_classes: set[int]) -> BiPoly:
         poly = BiPoly.one()
@@ -233,11 +231,6 @@ class AdequacyReport(NamedTuple):
     def count(self) -> int:
         return len(self.states)
 
-    @property
-    def tree_gap(self) -> int:
-        """Slack in the spanning-tree upper bound; no structural claim intended."""
-        return self.tree_count - self.count
-
 
 def enumerate_adequate(
     g: SignedMap,
@@ -326,8 +319,7 @@ def _spanning_trees(g: SignedMap) -> int:
     It shares no code with the Tutte engine, so it certifies the diagonal."""
     n = g.n_vertices
     lap = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        u, v = g.endpoints(e.label)
+    for u, v in g.ends:
         if u != v:
             lap[u][u] += 1
             lap[v][v] += 1
@@ -400,9 +392,10 @@ def homogeneous_adequate(g: SignedMap, edge_subset: Iterable) -> bool:
 
     Both groupings are the subset's classes: a complement edge lies in the
     face of the restriction that its face class merged.  Requires the map
-    to be reduced (no bridges, no loops).
+    to be reduced (no bridges, no loops) and spherical: on any other surface
+    the face classes are not the faces of the embedded restriction.
     """
-    _require_connected(g)
+    _require_plane(g)
     mask = _mask_of(g, g.check_edge_set(edge_subset))
     bridges, loops = classify_edges(g)
     if bridges or loops:

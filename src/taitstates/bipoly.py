@@ -48,14 +48,6 @@ class BiPoly:
     def one(cls) -> "BiPoly":
         return cls({(0, 0): 1})
 
-    @classmethod
-    def x(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:

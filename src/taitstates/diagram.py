@@ -224,16 +224,6 @@ class State(NamedTuple):
                 raise ValueError(f"resolution must be 'A' or 'B', got {v!r}")
         return cls(tuple(sorted(d.items(), key=lambda kv: label_sort_key(kv[0]))))
 
-    def resolution(self, key) -> str:
-        for k, v in self.items:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def dual(self) -> "State":
-        flip = {"A": "B", "B": "A"}
-        return State(tuple((k, flip[v]) for k, v in self.items))
-
     def __str__(self) -> str:
         return "".join(v for _, v in self.items)
 

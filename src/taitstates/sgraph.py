@@ -2,9 +2,11 @@
 
 A ``SignedMap`` stores, for every vertex, the cyclic order of half-edge
 identifiers around it, and for every edge the pair of half-edges it joins
-plus a sign and a stable label.  Edges are kept in label order, so bit i of
-an edge-subset bitmask is ``edges[i]`` everywhere.  Faces are recovered by
-rotation-and-pair face tracing, so planar structure needs no coordinates.
+plus a sign and a stable label.  Edges are kept in label order, and index i
+stands for ``edges[i]`` everywhere: bit i of an edge-subset bitmask is that
+edge, and ``ends[i]``, built with the map, is the pair of vertex indices it
+joins.  Faces are recovered by rotation-and-pair face tracing, so planar
+structure needs no coordinates.
 Labels survive restriction and contraction, which keeps the crossing-to-edge
 correspondence of a Tait graph intact through graph surgery.
 
@@ -109,8 +111,8 @@ class _Frozen:
 class SignedMap:
     """Immutable signed multigraph with a rotation system."""
 
-    __slots__ = ("vertices", "edges", "_half2vertex", "_half2edge", "_label2edge", "_faces",
-                 "_face_of_half", "_classified")
+    __slots__ = ("vertices", "edges", "ends", "_half2vertex", "_half2edge", "_label2edge",
+                 "_faces", "_face_of_half", "_classified")
 
     def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence[Edge | tuple]):
         vtuple = tuple(tuple(rot) for rot in vertices)
@@ -151,6 +153,7 @@ class SignedMap:
 
         self.vertices = vtuple
         self.edges = etuple
+        self.ends = tuple((half2vertex[e.half_a], half2vertex[e.half_b]) for e in etuple)
         self._half2vertex = half2vertex
         self._half2edge = half2edge
         self._label2edge = label2edge
@@ -169,9 +172,6 @@ class SignedMap:
     def labels(self) -> frozenset:
         return frozenset(self._label2edge)
 
-    def sorted_labels(self) -> list:
-        return [e.label for e in self.edges]
-
     def edge(self, label: Label) -> Edge:
         try:
             return self._label2edge[label]
@@ -188,13 +188,6 @@ class SignedMap:
     def endpoints(self, label: Label) -> tuple[int, int]:
         e = self.edge(label)
         return (self._half2vertex[e.half_a], self._half2vertex[e.half_b])
-
-    def is_loop(self, label: Label) -> bool:
-        u, v = self.endpoints(label)
-        return u == v
-
-    def sign(self, label: Label) -> int:
-        return self.edge(label).sign
 
     def positive_labels(self) -> frozenset:
         return frozenset(e.label for e in self.edges if e.sign > 0)
@@ -312,8 +305,8 @@ class _DSU:
 def components(g: SignedMap) -> tuple[int, tuple[int, ...]]:
     """Component count and a vertex -> component-id assignment."""
     dsu = _DSU(g.n_vertices)
-    for e in g.edges:
-        dsu.union(g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b))
+    for u, v in g.ends:
+        dsu.union(u, v)
     roots: dict[int, int] = {}
     assignment = []
     for v in range(g.n_vertices):
@@ -327,19 +320,17 @@ def is_connected(g: SignedMap) -> bool:
     return g.n_vertices <= 1 or components(g)[0] == 1
 
 
-def edge_blocks(n: int, edges: Sequence[tuple]) -> list[list[int]]:
+def edge_blocks(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
     """Block decomposition of a multigraph on vertices ``0..n-1``.
 
-    ``edges[i]`` starts with ``u, v``, the endpoints of edge i; anything
-    after them is ignored.
+    ``edges[i]`` is ``(u, v)``, the endpoints of edge i.
     Returns the blocks as lists of edge indices: each loop alone, split off
     before the DFS, then each bridge alone and each maximal 2-connected
     piece, component by component.  Isolated vertices are in no block.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     out: list[list[int]] = []
-    for i, e in enumerate(edges):
-        u, v = e[0], e[1]
+    for i, (u, v) in enumerate(edges):
         if u == v:
             out.append([i])
         else:
@@ -387,10 +378,6 @@ def edge_blocks(n: int, edges: Sequence[tuple]) -> list[list[int]]:
     return out
 
 
-def _ends(g: SignedMap) -> list[tuple[int, int, Label]]:
-    return [(g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b), e.label) for e in g.edges]
-
-
 def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
     """(bridges, loops) as label sets. Loops are never bridges.
 
@@ -399,12 +386,11 @@ def classify_edges(g: SignedMap) -> tuple[frozenset, frozenset]:
     """
     if g._classified is not None:
         return g._classified
-    ends = _ends(g)
     bridges, loops = set(), set()
-    for blk in edge_blocks(g.n_vertices, ends):
+    for blk in edge_blocks(g.n_vertices, g.ends):
         if len(blk) == 1:
-            u, v, lab = ends[blk[0]]
-            (loops if u == v else bridges).add(lab)
+            u, v = g.ends[blk[0]]
+            (loops if u == v else bridges).add(g.edges[blk[0]].label)
     g._classified = (frozenset(bridges), frozenset(loops))
     return g._classified
 

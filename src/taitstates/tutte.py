@@ -68,12 +68,6 @@ _EDGE_VALUES = {
 }
 
 
-def _mgraph_of(g: SignedMap) -> _MG:
-    """The edges of ``g``, which are in label order, as vertex-index pairs."""
-    vertex = g.vertex_of_half
-    return (g.n_vertices, tuple((vertex(e.half_a), vertex(e.half_b)) for e in g.edges))
-
-
 def _mg_induce_edges(edges, idxs: Iterable[int]) -> _MG:
     """Sub-multigraph on the given edge indices, in index order, with the
     vertices renumbered by first appearance."""
@@ -110,7 +104,7 @@ class TutteEngine:
     # public entry -------------------------------------------------------
 
     def tutte(self, g: SignedMap) -> BiPoly:
-        return self.evaluate(_mgraph_of(g), FULL)
+        return self.evaluate((g.n_vertices, g.ends), FULL)
 
     # recursion ----------------------------------------------------------
 

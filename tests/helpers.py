@@ -36,7 +36,7 @@ from taitstates.sgraph import (
     planar_dual,
     restrict,
 )
-from taitstates.tutte import CapExceededError, TutteEngine, _mgraph_of
+from taitstates.tutte import CapExceededError, TutteEngine
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +384,8 @@ def random_diagram(n_crossings: int, rng: random.Random, reduced_only: bool = Fa
 def brute_spanning_tree_count(g: SignedMap) -> int:
     """Count spanning trees by exhausting edge subsets of size v-1."""
     n = g.n_vertices
-    labels = [e.label for e in g.edges if not g.is_loop(e.label)]
-    ends = {lab: g.endpoints(lab) for lab in labels}
+    ends = {e.label: (u, v) for e, (u, v) in zip(g.edges, g.ends) if u != v}
+    labels = list(ends)
     count = 0
     if n == 1:
         return 1
@@ -416,7 +416,7 @@ def tutte_oracle(g: SignedMap, cap: int = 14) -> BiPoly:
     m = g.n_edges
     if m > cap:
         raise CapExceededError(f"oracle capped at {cap} edges, got {m}")
-    n, edges = _mgraph_of(g)
+    n, edges = g.n_vertices, g.ends
 
     def rank_of(subset: tuple[int, ...]) -> int:
         parent = list(range(n))
@@ -436,8 +436,8 @@ def tutte_oracle(g: SignedMap, cap: int = 14) -> BiPoly:
                 k -= 1
         return n - k
 
-    xm1 = BiPoly.x() - BiPoly.one()
-    ym1 = BiPoly.y() - BiPoly.one()
+    xm1 = BiPoly({(1, 0): 1, (0, 0): -1})
+    ym1 = BiPoly({(0, 1): 1, (0, 0): -1})
     xpow = [BiPoly.one()]
     ypow = [BiPoly.one()]
     for _ in range(m + 1):
@@ -463,7 +463,7 @@ def kook_sum(g: SignedMap, engine: TutteEngine | None = None, cap: int = 14) -> 
     if m > cap:
         raise CapExceededError(f"subset sum capped at {cap} edges, got {m}")
     eng = engine or TutteEngine()
-    labels = g.sorted_labels()
+    labels = [e.label for e in g.edges]
     total = BiPoly.zero()
     for mask in range(1 << m):
         subset = frozenset(labels[i] for i in range(m) if mask >> i & 1)
@@ -553,17 +553,13 @@ def graphs_isomorphic(g1: SignedMap, g2: SignedMap, respect_signs: bool = False)
 
 def brute_adequate_masks(g: SignedMap) -> list[int]:
     """Every adequate subset of ``g`` as ascending bitmasks over
-    ``g.sorted_labels()``, by testing all 2^m subsets.
+    ``g.edges``, by testing all 2^m subsets.
 
     A subset passes when no edge outside it joins one component of the
     restriction (union-find) and the restriction has no bridge (low-link
     DFS).  Needs no embedding, so it holds on any map.
     """
-    eu, ev = [], []
-    for lab in g.sorted_labels():
-        u, v = g.endpoints(lab)
-        eu.append(u)
-        ev.append(v)
+    eu, ev = [u for u, _ in g.ends], [v for _, v in g.ends]
     nv, m = g.n_vertices, len(eu)
     out: list[int] = []
     parent = list(range(nv))
@@ -683,10 +679,11 @@ class EdgePartition:
 def classify(d: LinkDiagram, g: SignedMap, corr: Mapping[int, int], s: State) -> EdgePartition:
     """Partition the Tait edges into (+,A), (+,B), (-,A), (-,B) classes."""
     buckets: dict[str, set] = {"+A": set(), "+B": set(), "-A": set(), "-B": set()}
+    res = dict(s.items)
     for ci in range(d.n_crossings):
         lab = corr[ci]
-        sgn = "+" if g.sign(lab) > 0 else "-"
-        buckets[sgn + s.resolution(ci)].add(lab)
+        sgn = "+" if g.edge(lab).sign > 0 else "-"
+        buckets[sgn + res[ci]].add(lab)
     return EdgePartition(
         plus_a=frozenset(buckets["+A"]),
         plus_b=frozenset(buckets["+B"]),
@@ -703,9 +700,15 @@ def checkerboard_states(d: LinkDiagram, g: SignedMap, corr: Mapping[int, int]) -
     is its dual.
     """
     black = State.from_dict({
-        ci: ("B" if g.sign(corr[ci]) > 0 else "A") for ci in range(d.n_crossings)
+        ci: ("B" if g.edge(corr[ci]).sign > 0 else "A") for ci in range(d.n_crossings)
     })
-    return black, black.dual()
+    return black, dual(black)
+
+
+def dual(s: State) -> State:
+    """The state that resolves every crossing the other way."""
+    flip = {"A": "B", "B": "A"}
+    return State(tuple((k, flip[v]) for k, v in s.items))
 
 
 def _resolution_joins(cr_index: int, res: str) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -720,8 +723,9 @@ def _circle_structure(d: LinkDiagram, s: State):
     dsu = _DSU(4 * n)
     for e in d.projection.edges:
         dsu.union(e.half_a, e.half_b)
+    res = dict(s.items)
     for ci in range(n):
-        for a, b in _resolution_joins(ci, s.resolution(ci)):
+        for a, b in _resolution_joins(ci, res[ci]):
             dsu.union(a, b)
     roots: dict[int, int] = {}
     assign = []
@@ -754,8 +758,9 @@ def segment_self_touch(d: LinkDiagram, s: State) -> frozenset:
         return frozenset()
     _, assign = _circle_structure(d, s)
     bad = set()
+    res = dict(s.items)
     for ci in range(d.n_crossings):
-        (a1, _), (a2, _) = _resolution_joins(ci, s.resolution(ci))
+        (a1, _), (a2, _) = _resolution_joins(ci, res[ci])
         if assign[a1] == assign[a2]:
             bad.add(ci)
     return frozenset(bad)
@@ -774,7 +779,7 @@ def state_from_partition(g: SignedMap, edge_subset: Iterable,
     edge_subset = g.check_edge_set(edge_subset)
     by_label = {}
     for lab in g.labels():
-        positive = g.sign(lab) > 0
+        positive = g.edge(lab).sign > 0
         inside = lab in edge_subset
         by_label[lab] = "A" if positive == inside else "B"
     if d is None:
@@ -815,8 +820,9 @@ def homogeneity_oracle(d: LinkDiagram, s: State) -> bool:
         return foh[4 * ci + (k + 1) % 4]
 
     seg_region: list[tuple[int, str]] = []
+    resolutions = dict(s.items)
     for ci in range(d.n_crossings):
-        res = s.resolution(ci)
+        res = resolutions[ci]
         if res == "A":
             f1, f2 = corner_face(ci, 1), corner_face(ci, 3)
         else:

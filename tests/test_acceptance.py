@@ -260,7 +260,7 @@ class TestCriterion8Symmetry:
         for d in diagrams:
             g, _ = tait(d)
             gm, _ = tait(mirror(d))
-            assert all(gm.sign(lab) == -g.sign(lab) for lab in g.labels())
+            assert all(gm.edge(lab).sign == -g.edge(lab).sign for lab in g.labels())
             n = d.n_crossings
             for res, res_m in (("A", "B"), ("B", "A")):
                 assert adequacy_oracle(d, uniform_state(range(n), res)) == adequacy_oracle(

@@ -37,6 +37,7 @@ from helpers import (
     classify,
     cycle_graph,
     double_edge_path,
+    dual,
     dual_symmetry_check,
     graphs_isomorphic,
     homogeneity_oracle,
@@ -138,7 +139,7 @@ class TestPolynomial:
             if not is_connected(g):
                 continue
             tried += 1
-            labels = g.sorted_labels()
+            labels = [e.label for e in g.edges]
             adequate = set(brute_adequate_masks(g))
             for mask in range(1 << len(labels)):
                 subset = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
@@ -183,7 +184,7 @@ class TestEnumeration:
                 g = random_planar_map(rng.randint(1, 12), rng)
             else:
                 g = random_bridgeless_map(rng.randint(2, 12), rng)
-            labels = g.sorted_labels()
+            labels = [e.label for e in g.edges]
             expected = {frozenset(lab for i, lab in enumerate(labels) if mask >> i & 1)
                         for mask in brute_adequate_masks(g)}
             rep = enumerate_adequate(g)
@@ -277,7 +278,7 @@ class TestEnumeration:
         assert rep.verified
         assert rep.count == 2
         assert rep.tree_count == 4
-        assert rep.tree_gap == 2
+        assert rep.tree_count - rep.count == 2
         assert rep.state_sum == rep.diagonal
 
     def test_deterministic_order(self):
@@ -329,7 +330,7 @@ class TestEnumeration:
             b = enumerate_adequate(flip_signs(g))
             assert a.count == b.count
             assert {(r.state, r.edge_subset) for r in b.states} == {
-                (r.state.dual(), r.edge_subset) for r in a.states
+                (dual(r.state), r.edge_subset) for r in a.states
             }
             # per fixed state: the flipped graph assigns the complement
             for r in a.states:
@@ -413,6 +414,15 @@ class TestHomogeneous:
         g = SignedMap([(0, 1, 2), (3,)], [(0, 1, +1, 0), (2, 3, +1, 1)])
         with pytest.raises(ValueError):
             homogeneous_adequate(g, ())
+
+    def test_requires_spherical(self):
+        # a reduced theta on the torus (v - e + f = 0): its face classes are
+        # not the faces of an embedded restriction, so no subset is answered
+        g = SignedMap([(0, 2, 4), (1, 3, 5)],
+                      [(0, 1, +1, "a"), (2, 3, -1, "b"), (4, 5, +1, "c")])
+        for subset in ((), {"a", "b"}, {"a", "b", "c"}):
+            with pytest.raises(ValueError, match="not spherical"):
+                homogeneous_adequate(g, subset)
 
     def test_matches_definitional_oracle(self):
         # the flags need no marked unbounded face, so the Tait graph of
@@ -565,7 +575,7 @@ class TestBundledKnot:
             ok = True
             for lab in rec.edge_subset:
                 c = assign[g.vertex_of_half(g.edge(lab).half_a)]
-                s = g.sign(lab)
+                s = g.edge(lab).sign
                 if comp_signs.setdefault(c, s) != s:
                     ok = False
                     break

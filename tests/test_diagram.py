@@ -31,6 +31,7 @@ from helpers import (
     cycle_graph,
     diagram_to_json,
     double_edge_path,
+    dual,
     graphs_isomorphic,
     hopf_sum_diagram,
     random_diagram,
@@ -121,7 +122,7 @@ class TestTaitGraph:
     def test_trefoil_is_uniform_cycle(self):
         d = checkerboard(parse_pd(TREFOIL))
         g, corr = tait(d)
-        signs = {g.sign(lab) for lab in g.labels()}
+        signs = {g.edge(lab).sign for lab in g.labels()}
         assert len(signs) == 1  # alternating diagram: uniform signs
         assert graphs_isomorphic(g, cycle_graph(3)) or graphs_isomorphic(
             g, cycle_graph(3, -1)
@@ -133,7 +134,7 @@ class TestTaitGraph:
         d = torus2n_diagram(n)
         g, _ = tait(d)
         assert g.n_vertices == n and g.n_edges == n
-        assert len({g.sign(lab) for lab in g.labels()}) == 1
+        assert len({g.edge(lab).sign for lab in g.labels()}) == 1
         assert graphs_isomorphic(g, cycle_graph(n))
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -173,7 +174,7 @@ class TestMirror:
             d = random_diagram(rng.randint(2, 7), rng)
             g, _ = tait(d)
             gm, _ = tait(mirror(d))
-            assert all(gm.sign(lab) == -g.sign(lab) for lab in g.labels())
+            assert all(gm.edge(lab).sign == -g.edge(lab).sign for lab in g.labels())
 
     def test_swaps_a_and_b_adequacy(self):
         rng = random.Random(37)
@@ -214,8 +215,8 @@ class TestReduced:
 class TestStates:
     def test_state_construction(self):
         s = State.from_dict({0: "A", 1: "B"})
-        assert s.resolution(0) == "A"
-        assert s.dual() == State.from_dict({0: "B", 1: "A"})
+        assert dict(s.items)[0] == "A"
+        assert dual(s) == State.from_dict({0: "B", 1: "A"})
         with pytest.raises(ValueError):
             State.from_dict({0: "C"})
 
@@ -226,7 +227,7 @@ class TestStates:
             d = random_diagram(rng.randint(2, 7), rng)
             g, corr = tait(d)
             black, white = checkerboard_states(d, g, corr)
-            assert black.dual() == white
+            assert dual(black) == white
             pb = classify(d, g, corr, black)
             assert pb.selected == frozenset()
             assert pb.plus_a == frozenset() and pb.minus_b == frozenset()
@@ -248,7 +249,7 @@ class TestStates:
             g, corr = tait(d)
             for s in all_states(d):
                 p = classify(d, g, corr, s)
-                pd_ = classify(d, g, corr, s.dual())
+                pd_ = classify(d, g, corr, dual(s))
                 assert pd_.selected == p.complement
 
     def test_alternating_checkerboard_states_are_extremes(self):

@@ -81,7 +81,7 @@ def test_masks_pass_partition_test_past_oracle():
     rng = random.Random(7)
     for m in range(24, 41):
         g = random_bridgeless_map(m, rng)
-        labels = g.sorted_labels()
+        labels = [e.label for e in g.edges]
         masks = sorted_masks(g)
         assert masks[0] == 0 and masks[-1] == (1 << m) - 1
         for mask in masks:
@@ -112,7 +112,7 @@ def test_classes_are_components():
         if not is_connected(g):
             continue
         tried += 1
-        labels = g.sorted_labels()
+        labels = [e.label for e in g.edges]
         dual = planar_dual(g)
         for _ in range(10):
             mask = rng.getrandbits(len(labels))

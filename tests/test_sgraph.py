@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from taitstates.diagram import tait
 from taitstates.sgraph import (
     DisconnectedError,
     SignedMap,
@@ -15,11 +16,19 @@ from taitstates.sgraph import (
     faces,
     flip_signs,
     from_json,
+    is_connected,
     planar_dual,
     restrict,
 )
 
-from helpers import cycle_graph, double_edge_path, graphs_isomorphic, random_planar_map, to_json
+from helpers import (
+    cycle_graph,
+    double_edge_path,
+    graphs_isomorphic,
+    random_diagram,
+    random_planar_map,
+    to_json,
+)
 
 
 # a theta graph whose labels 1 and "1" both print as 1
@@ -45,8 +54,7 @@ def triangle():
 
 def blocks_of(g):
     """``edge_blocks`` of a map, each block as the (vertices, edges) it spans."""
-    ends = [(g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b)) for e in g.edges]
-    return [({w for i in blk for w in ends[i]}, blk) for blk in edge_blocks(g.n_vertices, ends)]
+    return [({w for i in blk for w in g.ends[i]}, blk) for blk in edge_blocks(g.n_vertices, g.ends)]
 
 
 class TestConstruction:
@@ -74,7 +82,7 @@ class TestConstruction:
         # bit i of a subset mask is edges[i], whatever order the edges came in
         given = [(4, 5, +1, "e"), (2, 3, -1, 10), (0, 1, +1, 2)]
         g = SignedMap([(0, 2, 5), (1, 4, 3)], given)
-        assert [e.label for e in g.edges] == [2, 10, "e"] == g.sorted_labels()
+        assert [e.label for e in g.edges] == [2, 10, "e"]
         assert g == SignedMap([(0, 2, 5), (1, 4, 3)], given[::-1])
 
     def test_bad_sign(self):
@@ -84,6 +92,44 @@ class TestConstruction:
     def test_json_round_trip(self):
         g = cycle_graph(4)
         assert from_json(json.loads(to_json(g))) == g
+
+
+def assert_ends(g):
+    """``ends[i]`` is the pair of vertices of ``edges[i]``'s two half-edges."""
+    assert len(g.ends) == g.n_edges
+    for (u, v), e in zip(g.ends, g.edges):
+        assert (u, v) == (g.vertex_of_half(e.half_a), g.vertex_of_half(e.half_b)), e
+
+
+# each way of building a map from a map and a subset of its labels
+BUILDS = {
+    "SignedMap": lambda g, subset: SignedMap(g.vertices, g.edges[::-1]),
+    "from_json": lambda g, subset: from_json(json.loads(to_json(g))),
+    "restrict": restrict,
+    "contract": contract,
+    "planar_dual": lambda g, subset: planar_dual(g),
+    "flip_signs": lambda g, subset: flip_signs(g),
+}
+
+
+class TestEnds:
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_ends_of_built_maps(self, build):
+        rng = random.Random(131)
+        bridges = loops = 0
+        for _ in range(40):
+            g = random_planar_map(rng.randint(1, 12), rng)
+            assert is_connected(g)
+            b, l = classify_edges(g)
+            bridges, loops = bridges + len(b), loops + len(l)
+            subset = {lab for lab in g.labels() if rng.random() < 0.5}
+            assert_ends(BUILDS[build](g, subset))
+        assert bridges and loops
+
+    def test_ends_of_tait_graphs(self):
+        rng = random.Random(137)
+        for _ in range(20):
+            assert_ends(tait(random_diagram(rng.randint(2, 8), rng))[0])
 
 
 class TestRestrictDeleteContract:
@@ -235,7 +281,7 @@ class TestFacesAndDual:
     def test_dual_cycle_is_multiedge(self):
         d = planar_dual(cycle_graph(5))
         assert d.n_vertices == 2 and d.n_edges == 5
-        assert all(not d.is_loop(lab) for lab in d.labels())
+        assert all(u != v for u, v in d.ends)
 
     def test_dual_bridge_is_loop(self):
         d = planar_dual(single_bridge())
@@ -275,7 +321,7 @@ class TestFacesAndDual:
     def test_flip_signs(self):
         g = cycle_graph(3, +1)
         f = flip_signs(g)
-        assert all(f.sign(lab) == -1 for lab in f.labels())
+        assert all(f.edge(lab).sign == -1 for lab in f.labels())
         assert flip_signs(f) == g
 
 

@@ -10,7 +10,6 @@ from taitstates.tutte import (
     X_ZERO,
     CapExceededError,
     TutteEngine,
-    _mgraph_of,
     tutte,
 )
 
@@ -42,7 +41,8 @@ def on_dual(g):
     spherical and has an edge, else None.  On the sphere T(G; t, 0) is
     T(G*; 0, t), which is how the adequacy layer reads T(G/S; t, 0)."""
     if g.n_edges and is_connected(g) and euler_genus_ok(g):
-        return _mgraph_of(planar_dual(g))
+        d = planar_dual(g)
+        return (d.n_vertices, d.ends)
     return None
 
 
@@ -73,7 +73,7 @@ class TestEngine:
 
     def test_bridge_and_loop_factors(self):
         g = SignedMap([(0,), (1, 2, 3)], [(0, 1, +1, "b"), (2, 3, +1, "l")])
-        assert tutte(g) == BiPoly.x() * BiPoly.y()
+        assert tutte(g) == BiPoly({(1, 1): 1})
 
     def test_block_multiplicativity(self):
         # two triangles sharing one vertex: product of the blocks
@@ -138,7 +138,7 @@ class TestSpecializations:
             if not shared:
                 eng = TutteEngine()
             chi = tutte_oracle(g)
-            mg = _mgraph_of(g)
+            mg = (g.n_vertices, g.ends)
             assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
             if dual := on_dual(g):
                 assert eng.evaluate(dual, X_ZERO) == chi.specialize("y_to_zero"), trial
@@ -148,10 +148,11 @@ class TestSpecializations:
     def test_zero_blocks(self):
         eng = TutteEngine()
         bridge_and_loop = SignedMap([(0,), (1, 2, 3)], [(0, 1, +1, "b"), (2, 3, +1, "l")])
-        assert eng.evaluate(_mgraph_of(bridge_and_loop), X_ZERO).is_zero()
+        c4 = cycle_graph(4)
+        assert eng.evaluate((bridge_and_loop.n_vertices, bridge_and_loop.ends), X_ZERO).is_zero()
         assert eng.evaluate(on_dual(bridge_and_loop), X_ZERO).is_zero()
-        assert eng.evaluate(_mgraph_of(cycle_graph(4)), X_ZERO) == t_poly([0, 1])
-        assert eng.evaluate(on_dual(cycle_graph(4)), X_ZERO) == t_poly([0, 1, 1, 1])
+        assert eng.evaluate((c4.n_vertices, c4.ends), X_ZERO) == t_poly([0, 1])
+        assert eng.evaluate(on_dual(c4), X_ZERO) == t_poly([0, 1, 1, 1])
 
 
 def inflated_multigraph(rng, max_e=14):
@@ -215,7 +216,7 @@ class TestClassSplits:
         for trial, (g, chi) in enumerate(_class_cases()):
             if not shared:
                 eng = TutteEngine()
-            mg = _mgraph_of(g)
+            mg = (g.n_vertices, g.ends)
             assert eng.evaluate(mg, FULL) == chi, trial
             assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
             if dual := on_dual(g):
@@ -258,7 +259,7 @@ class TestPastOracleCap:
     def test_modes_agree(self):
         eng = TutteEngine()
         for trial, g in enumerate(_maps_past_the_cap()):
-            mg = _mgraph_of(g)
+            mg = (g.n_vertices, g.ends)
             chi = eng.evaluate(mg, FULL)
             assert eng.evaluate(mg, X_ZERO) == chi.specialize("x_to_zero"), trial
             if dual := on_dual(g):
